@@ -199,27 +199,42 @@ def conv_lstm_step(x, state, p):
     The per-stream convolutions are fused: the four x-kernels (and the four
     h-kernels, and the two cell peepholes) run as one grouped convolution so
     the patch gather happens once per input stream.
+
+    state=None stands for the all-zero initial state. Its h- and c-stream
+    convolutions and the forget-gate term f * c_prev are exactly zero, so
+    they are not computed: outputs equal those of a zero_state step, and the
+    h-kernels, cell peepholes and forget-gate bias get no gradient (None)
+    from the step.
     """
+    hid = p.hidden_channels
+    from_x = _conv_same(x, T.concat([p.w_x_i, p.w_x_f, p.w_x_o, p.w_x_c], 0))
+
+    def gate(k):
+        return T.narrow(from_x, 1, k * hid, hid)
+
+    if state is None:
+        i = T.sigmoid(gate(0) + _per_channel(p.b_i))
+        c_new = i * T.tanh(gate(3) + _per_channel(p.b_c))
+        o = T.sigmoid(gate(2) + _per_channel(p.w_c_o) * c_new + _per_channel(p.b_o))
+        return ConvLSTMState(hidden=o * T.tanh(c_new), cell=c_new)
+
     if x.shape[-2:] != state.hidden.shape[-2:] or x.shape[0] != state.hidden.shape[0]:
         raise ShapeError(
             f"input {x.shape} does not match state {state.hidden.shape}"
         )
     h_prev, c_prev = state.hidden, state.cell
-    hid = p.hidden_channels
-
-    from_x = _conv_same(x, T.concat([p.w_x_i, p.w_x_f, p.w_x_o, p.w_x_c], 0))
     from_h = _conv_same(
         h_prev, T.concat([p.w_h_i, p.w_h_f, p.w_h_o, p.w_h_c], 0)
     )
     from_c = _conv_same(c_prev, T.concat([p.w_c_i, p.w_c_f], 0))
 
-    def gate(k):
-        return T.narrow(from_x, 1, k * hid, hid) + T.narrow(from_h, 1, k * hid, hid)
+    def gate_h(k):
+        return gate(k) + T.narrow(from_h, 1, k * hid, hid)
 
-    i = T.sigmoid(gate(0) + T.narrow(from_c, 1, 0, hid) + _per_channel(p.b_i))
-    f = T.sigmoid(gate(1) + T.narrow(from_c, 1, hid, hid) + _per_channel(p.b_f))
-    c_new = f * c_prev + i * T.tanh(gate(3) + _per_channel(p.b_c))
-    o = T.sigmoid(gate(2) + _per_channel(p.w_c_o) * c_new + _per_channel(p.b_o))
+    i = T.sigmoid(gate_h(0) + T.narrow(from_c, 1, 0, hid) + _per_channel(p.b_i))
+    f = T.sigmoid(gate_h(1) + T.narrow(from_c, 1, hid, hid) + _per_channel(p.b_f))
+    c_new = f * c_prev + i * T.tanh(gate_h(3) + _per_channel(p.b_c))
+    o = T.sigmoid(gate_h(2) + _per_channel(p.w_c_o) * c_new + _per_channel(p.b_o))
     return ConvLSTMState(hidden=o * T.tanh(c_new), cell=c_new)
 
 
@@ -253,29 +268,24 @@ def bconv_lstm(sequence, p):
     """Bidirectional ConvLSTM over a feature sequence.
 
     Both directions start from zero state. The forward pass runs first to
-    last, the reverse pass last to first; the output mixes the two hidden
-    states aligned at the final sequence position through learned kernels
-    and tanh. Both mixing terms are convolutions.
+    last; the output mixes its final hidden state with the reverse pass's
+    hidden state aligned at the final sequence position, through learned
+    kernels and tanh. Both mixing terms are convolutions. The reverse pass
+    runs last to first, so the state aligned at the final position is its
+    first step: only that one step is run, since the later reverse steps
+    never reach the output.
     """
     if not sequence:
         raise ShapeError("bconv_lstm requires a non-empty sequence")
     ref = sequence[0].shape
     if any(t.shape != ref for t in sequence):
         raise ShapeError("bconv_lstm sequence shapes must all agree")
-    b, _, h, w = ref
-    hidden = p.forward.hidden_channels
 
-    st = zero_state(b, hidden, h, w)
+    st = None
     for x in sequence:
         st = conv_lstm_step(x, st, p.forward)
     fwd_h = st.hidden
-
-    st = zero_state(b, hidden, h, w)
-    bwd_h = None
-    for x in reversed(sequence):
-        st = conv_lstm_step(x, st, p.backward)
-        if bwd_h is None:  # hidden aligned at the final sequence position
-            bwd_h = st.hidden
+    bwd_h = conv_lstm_step(sequence[-1], None, p.backward).hidden
 
     return T.tanh(
         _conv_same(fwd_h, p.mix_fwd)

@@ -301,9 +301,15 @@ def _swin_flops(d, h, w, n, mlp_ratio):
 
 
 def _convlstm_flops(cin, hidden, h, w, steps, k=3):
-    per_step = 2 * k * k * h * w * (3 * cin * hidden + 7 * hidden * hidden)
-    mix = 2 * 2 * k * k * hidden * hidden * h * w
-    return 2 * steps * per_step + mix  # both directions plus output mixing
+    """FLOPs of B.bconv_lstm over a sequence of `steps` maps. Every step
+    convolves its input with the four x-kernels; each step after the first
+    also convolves the state with the four h-kernels and two cell peepholes.
+    The reverse pass runs one step, and two kernels mix the directions."""
+    x_conv = 4 * cin * hidden
+    forward = steps * x_conv + (steps - 1) * 6 * hidden * hidden
+    reverse = x_conv
+    mix = 2 * hidden * hidden
+    return 2 * k * k * h * w * (forward + reverse + mix)
 
 
 def count_flops(config):

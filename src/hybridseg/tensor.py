@@ -288,11 +288,8 @@ def relu(a):
 
 def sigmoid(a):
     x = a.data
-    y = np.empty_like(x)
-    pos = x >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    y[~pos] = ex / (1.0 + ex)
+    z = np.exp(-np.abs(x))  # never overflows
+    y = np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
     out = Tensor(y)
 
     def bw(g):
@@ -358,7 +355,6 @@ def matmul(a, b):
     if da.ndim == 2 and db.ndim == 2:
         if da.shape[1] != db.shape[0]:
             raise ShapeError(f"matmul inner extents {da.shape} x {db.shape}")
-        out = Tensor(da @ db)
 
         def bw(g):
             return (g @ db.T if need_a else None,
@@ -367,7 +363,6 @@ def matmul(a, b):
     elif da.ndim == 3 and db.ndim == 3:
         if da.shape[0] != db.shape[0] or da.shape[2] != db.shape[1]:
             raise ShapeError(f"batched matmul extents {da.shape} x {db.shape}")
-        out = Tensor(da @ db)
 
         def bw(g):
             return (g @ db.transpose(0, 2, 1) if need_a else None,
@@ -375,6 +370,8 @@ def matmul(a, b):
 
     else:
         raise ShapeError("matmul supports rank-2 or batched rank-3 operands")
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = Tensor(da @ db)  # non-finite results raise in Tensor()
     return _register(out, [a, b], bw)
 
 
@@ -598,7 +595,8 @@ def conv2d(x, w, padding=0, groups=1):
         if p:
             raise ShapeError("padding is meaningless for a 1x1 kernel")
         w2 = wd.reshape(cout, cin)
-        y = np.tensordot(xd, w2, axes=([1], [1])).transpose(0, 3, 1, 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = np.tensordot(xd, w2, axes=([1], [1])).transpose(0, 3, 1, 2)
         out = Tensor(np.ascontiguousarray(y))
 
         def bw(g):
@@ -646,23 +644,30 @@ def conv2d(x, w, padding=0, groups=1):
 
         return _register(out, [x, w], bw)
 
-    cols = _window_view(xp, kh, kw)
-    y = np.tensordot(cols, wd, axes=([1, 2, 3], [1, 2, 3]))  # (B,Ho,Wo,Cout)
+    # dense: one (B*Ho*Wo, Cin*kh*kw) patch matrix, kept for the weight
+    # gradient; the input gradient is a GEMM followed by a kh*kw-slice col2im
+    ho, wo = h + 2 * p - kh + 1, wth + 2 * p - kw + 1
+    patches = _window_view(xp, kh, kw).transpose(0, 4, 5, 1, 2, 3)
+    patches = patches.reshape(b * ho * wo, cin * kh * kw)
+    w2 = wd.reshape(cout, cin * kh * kw)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = (patches @ w2.T).reshape(b, ho, wo, cout)
     out = Tensor(np.ascontiguousarray(y.transpose(0, 3, 1, 2)))
 
     def bw(g):
         gx = gw = None
+        g2 = g.transpose(0, 2, 3, 1).reshape(b * ho * wo, cout)
         if need_x:
-            wflip = wd[:, :, ::-1, ::-1]
-            gp = np.pad(g, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
-            gcols = _window_view(gp, kh, kw)
-            gxp = np.tensordot(gcols, wflip, axes=([1, 2, 3], [0, 2, 3]))
-            gxp = gxp.transpose(0, 3, 1, 2)
-            gxp = gxp[:, :, p : p + h, p : p + wth] if p else gxp
-            gx = np.ascontiguousarray(gxp)
+            gcols = (g2 @ w2).reshape(b, ho, wo, cin, kh, kw)
+            gxp = np.zeros((b, h + 2 * p, wth + 2 * p, cin))  # channels last
+            for ki in range(kh):
+                for kj in range(kw):
+                    gxp[:, ki : ki + ho, kj : kj + wo] += gcols[..., ki, kj]
+            gx = np.ascontiguousarray(
+                gxp[:, p : p + h, p : p + wth].transpose(0, 3, 1, 2)
+            )
         if need_w:
-            gw = np.tensordot(g, cols, axes=([0, 2, 3], [0, 4, 5]))
-            gw = gw.reshape(wd.shape)
+            gw = (g2.T @ patches).reshape(wd.shape)
         return gx, gw
 
     return _register(out, [x, w], bw)
@@ -681,7 +686,8 @@ def conv_transpose2d(x, w):
     if wd.shape[0] != cin:
         raise ShapeError(f"conv_transpose2d channel mismatch {cin} vs {wd.shape}")
     cout = wd.shape[1]
-    t = np.einsum("bchw,cokl->bohkwl", xd, wd, optimize=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = np.einsum("bchw,cokl->bohkwl", xd, wd, optimize=True)
     out = Tensor(np.ascontiguousarray(t.reshape(b, cout, 2 * h, 2 * wth)))
     need_x, need_w = x.requires_grad, w.requires_grad
 

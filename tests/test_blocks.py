@@ -295,6 +295,58 @@ class TestConvLSTM:
 
         assert grad_check(f, leaves, eps=1e-5).max_rel_error <= 1e-4
 
+    def test_none_state_equals_zero_state(self):
+        rng = np.random.default_rng(18)
+        p = B.init_conv_lstm(rng, 3, 2)
+        for bias in (p.b_i, p.b_f, p.b_o, p.b_c):
+            bias.data = rng.uniform(-1, 1, 2)
+        xdata = rng.uniform(-1, 1, (2, 3, 4, 5))
+
+        def run(state):
+            x = Tensor(xdata, requires_grad=True)
+            leaves = dict(B.params_of(p), x=x)
+            for t in leaves.values():
+                t.grad = None
+            with T.record():
+                st = B.conv_lstm_step(x, state, p)
+                T.backward(T.tsum(st.hidden * st.hidden) + T.tsum(T.tanh(st.cell)))
+            return st, {k: t.grad for k, t in leaves.items()}
+
+        lazy, lazy_grads = run(None)
+        eager, eager_grads = run(B.zero_state(2, 2, 4, 5))
+        assert lazy.hidden.data.tobytes() == eager.hidden.data.tobytes()
+        assert lazy.cell.data.tobytes() == eager.cell.data.tobytes()
+        for k in ("x", "w_x_i", "w_x_f", "w_x_o", "w_x_c", "b_i", "b_o", "b_c",
+                  "w_c_o"):
+            assert lazy_grads[k].tobytes() == eager_grads[k].tobytes(), k
+        # the skipped kernels and the unused forget-gate bias get no gradient;
+        # the zero-state step gives them exact zeros
+        for k in ("w_h_i", "w_h_f", "w_h_o", "w_h_c", "w_c_i", "w_c_f", "b_f"):
+            assert lazy_grads[k] is None, k
+            assert not eager_grads[k].any(), k
+
+
+def bconv_lstm_composition(sequence, p):
+    """Both directions run over the whole sequence from explicit zero
+    states, as the gate equations read; the reverse output is the state
+    aligned at the final position."""
+    b, _, h, w = sequence[0].shape
+    hidden = p.forward.hidden_channels
+    st = B.zero_state(b, hidden, h, w)
+    for x in sequence:
+        st = B.conv_lstm_step(x, st, p.forward)
+    fwd = st.hidden
+    st = B.zero_state(b, hidden, h, w)
+    reverse = []
+    for x in reversed(sequence):
+        st = B.conv_lstm_step(x, st, p.backward)
+        reverse.append(st.hidden)
+    return T.tanh(
+        T.conv2d(fwd, p.mix_fwd, padding=1)
+        + T.conv2d(reverse[0], p.mix_bwd, padding=1)
+        + T.reshape(p.mix_bias, (1, hidden, 1, 1))
+    )
+
 
 class TestBConvLSTM:
     def test_zero_mix_gives_zero(self):
@@ -336,6 +388,29 @@ class TestBConvLSTM:
             + T.reshape(p.mix_bias, (1, 2, 1, 1))
         )
         assert np.allclose(out.data, mixed.data, atol=1e-12)
+
+    @pytest.mark.parametrize("length", [1, 2, 3])
+    def test_gradients_match_step_composition(self, length):
+        rng = np.random.default_rng(20 + length)
+        p = B.init_bconv_lstm(rng, 3, 2)
+        data = [rng.uniform(-1, 1, (2, 3, 4, 5)) for _ in range(length)]
+
+        def run(fn):
+            seq = [Tensor(d, requires_grad=True) for d in data]
+            leaves = {**B.params_of(p), **{f"x{i}": t for i, t in enumerate(seq)}}
+            for t in leaves.values():
+                t.grad = None
+            with T.record():
+                out = fn(seq, p)
+                T.backward(T.tsum(out * out))
+            return out, {k: np.zeros_like(t.data) if t.grad is None else t.grad
+                         for k, t in leaves.items()}
+
+        out, grads = run(B.bconv_lstm)
+        ref, ref_grads = run(bconv_lstm_composition)
+        assert out.data.tobytes() == ref.data.tobytes()
+        for k, g in ref_grads.items():
+            assert np.array_equal(grads[k], g), k
 
     def test_empty_sequence(self):
         p = B.init_bconv_lstm(np.random.default_rng(16), 1, 1)
@@ -610,6 +685,13 @@ class TestTransposedConv:
         assert grad_check(f, [x, w], eps=1e-5).max_rel_error <= 1e-4
 
 
+DENSE_CONV_CASES = [  # (batch, cin, cout, height, width, kernel, padding)
+    (1, 2, 3, 5, 6, 3, 0),
+    (1, 3, 2, 4, 7, 5, 2),
+    (2, 2, 5, 6, 4, 3, 2),
+]
+
+
 class TestConvOracle:
     def test_conv2d_matches_loops(self):
         rng = np.random.default_rng(31)
@@ -618,6 +700,15 @@ class TestConvOracle:
             w = rng.standard_normal((4, 3, 3, 3))
             out = T.conv2d(Tensor(x), Tensor(w), padding=1)
             assert np.allclose(out.data, conv2d_oracle(x, w, 1, 1), atol=1e-10)
+
+    @pytest.mark.parametrize("case", DENSE_CONV_CASES)
+    def test_dense_shapes_match_loops(self, case):
+        b, cin, cout, h, w, k, pad = case
+        rng = np.random.default_rng(36)
+        x = rng.standard_normal((b, cin, h, w))
+        wt = rng.standard_normal((cout, cin, k, k))
+        out = T.conv2d(Tensor(x), Tensor(wt), padding=pad)
+        assert np.allclose(out.data, conv2d_oracle(x, wt, pad, 1), atol=1e-10)
 
     def test_depthwise_matches_loops(self):
         rng = np.random.default_rng(32)
@@ -636,6 +727,24 @@ class TestConvOracle:
             return T.tsum(out * out)
 
         assert grad_check(f, [x, w], eps=1e-5).max_rel_error <= 1e-4
+
+    @pytest.mark.parametrize("case", DENSE_CONV_CASES)
+    @pytest.mark.parametrize("wants", ["both", "x", "w"])
+    def test_dense_shapes_grad_check(self, case, wants):
+        b, cin, cout, h, w, k, pad = case
+        rng = np.random.default_rng(37)
+        x = Tensor(rng.uniform(-1, 1, (b, cin, h, w)),
+                   requires_grad=wants in ("both", "x"))
+        wt = Tensor(rng.uniform(-1, 1, (cout, cin, k, k)),
+                    requires_grad=wants in ("both", "w"))
+
+        def f(*_):
+            out = T.conv2d(x, wt, padding=pad)
+            return T.tsum(out * out)
+
+        leaves = [t for t in (x, wt) if t.requires_grad]
+        assert grad_check(f, leaves, eps=1e-5).max_rel_error <= 1e-4
+        assert all(t.grad is None for t in (x, wt) if not t.requires_grad)
 
     def test_depthwise_grad_check(self):
         rng = np.random.default_rng(34)

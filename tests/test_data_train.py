@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -242,6 +244,14 @@ class TestTrainLoop:
         assert np.isfinite(
             next(iter(res.params.flat().values())).data
         ).all()  # best checkpoint is the pre-divergence state
+
+    def test_divergence_raises_no_runtime_warning(self):
+        # overflow is reported once, as NonFiniteError, not as a warning first
+        cfg = self._train_cfg(max_epochs=5, initial_lr=1e160)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = TR.train(tiny_model_cfg(), cfg, self._dataset())
+        assert res.aborted
 
     def test_checkpoint_and_log_written(self, tmp_path):
         res = TR.train(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hybridseg import blocks as B
 from hybridseg import model as M
 from hybridseg import tensor as T
 from hybridseg.tensor import FormatError, ShapeError, Tensor, grad_check
@@ -212,6 +213,44 @@ class TestCounters:
         with_dense = M.count_flops(tiny_config(transformer_placement="dense"))
         without = M.count_flops(tiny_config(transformer_placement="none"))
         assert with_dense != without
+
+    @pytest.mark.parametrize("length", [1, 2, 3])
+    def test_convlstm_flops_match_executed_convolutions(self, monkeypatch,
+                                                        length):
+        cin, hidden, h, w = 3, 2, 4, 5
+        rng = np.random.default_rng(40)
+        p = B.init_bconv_lstm(rng, cin, hidden)
+        seq = [Tensor(rng.uniform(-1, 1, (1, cin, h, w))) for _ in range(length)]
+        executed = []
+        conv2d = T.conv2d
+
+        def counting(x, wt, padding=0, groups=1):
+            out = conv2d(x, wt, padding=padding, groups=groups)
+            cout, cper, kh, kw = wt.shape
+            executed.append(2 * cout * cper * kh * kw * out.shape[2] * out.shape[3])
+            return out
+
+        monkeypatch.setattr(T, "conv2d", counting)
+        B.bconv_lstm(seq, p)
+        assert sum(executed) == M._convlstm_flops(cin, hidden, h, w, length)
+
+    @pytest.mark.parametrize("mode", ["single", "paired"])
+    def test_training_step_convolves_no_all_zero_input(self, monkeypatch, mode):
+        cfg = M.ModelConfig(skip_sequence_mode=mode)  # acceptance configuration
+        params = M.build(cfg, 0)
+        x = Tensor(np.random.default_rng(41).uniform(0, 1, (8, 1, 32, 32)))
+        shapes = []
+        conv2d = T.conv2d
+
+        def watching(xin, wt, padding=0, groups=1):
+            shapes.append((xin.shape, bool(xin.data.any())))
+            return conv2d(xin, wt, padding=padding, groups=groups)
+
+        monkeypatch.setattr(T, "conv2d", watching)
+        with T.record():
+            T.backward(T.tsum(M.forward(params, x, training=True)))
+        assert shapes
+        assert [s for s, nonzero in shapes if not nonzero] == []
 
 
 class TestCheckpoint:

@@ -59,6 +59,17 @@ class TestElementwise:
         out = elementwise("sigmoid", Tensor([0.0]))
         assert np.allclose(out.data, [0.5])
 
+    def test_sigmoid_bitwise_equals_two_branch_form(self):
+        edges = [800.0, -800.0, 745.0, -745.0, 1e-300, -1e-300, 0.0, -0.0]
+        draw = np.random.default_rng(8).standard_normal(2**18)
+        x = np.concatenate([edges, draw, 10.0 * draw])
+        ref = np.empty_like(x)
+        pos = x >= 0
+        ref[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        ref[~pos] = ex / (1.0 + ex)
+        assert T.sigmoid(Tensor(x)).data.tobytes() == ref.tobytes()
+
     def test_add(self):
         out = elementwise("add", Tensor([1.0, 2.0]), Tensor([3.0, 4.0]))
         assert np.array_equal(out.data, [4.0, 6.0])
