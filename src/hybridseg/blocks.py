@@ -546,54 +546,6 @@ def swin_block_pair(x, p):
 
 
 # ---------------------------------------------------------------------------
-# patch utilities (token granularity helpers)
-
-
-def patch_partition4(x):
-    """Flatten each 4x4 patch of an NCHW map into one token feature."""
-    b, c, h, w = x.shape
-    if h % 4 or w % 4:
-        raise ShapeError("partition4 requires spatial extents divisible by 4")
-    t = T.reshape(x, (b, c, h // 4, 4, w // 4, 4))
-    t = T.transpose(t, (0, 2, 4, 3, 5, 1))
-    return T.reshape(t, (b, (h // 4) * (w // 4), 16 * c))
-
-
-def patch_merge2(tokens, grid_hw, weight):
-    """Concatenate 2x2 neighboring token features and project 4d -> 2d,
-    quartering the token count."""
-    b, tcount, d = tokens.shape
-    gh, gw = grid_hw
-    if gh * gw != tcount:
-        raise ShapeError(f"grid {grid_hw} does not cover {tcount} tokens")
-    if gh % 2 or gw % 2:
-        raise ShapeError("merge2 requires an even token grid")
-    if weight.shape != (4 * d, 2 * d):
-        raise ShapeError(f"merge2 weight must be (4d, 2d), got {weight.shape}")
-    t = T.reshape(tokens, (b, gh // 2, 2, gw // 2, 2, d))
-    t = T.transpose(t, (0, 1, 3, 2, 4, 5))
-    merged = T.reshape(t, (b, (gh // 2) * (gw // 2), 4 * d))
-    return _tokens_linear(merged, weight)
-
-
-def linear_embed(tokens, weight):
-    """Project raw token features to the working dimension."""
-    if tokens.shape[-1] != weight.shape[0]:
-        raise ShapeError("linear_embed feature size mismatch")
-    return _tokens_linear(tokens, weight)
-
-
-def patch_ops(x, mode, **kwargs):
-    if mode == "partition4":
-        return patch_partition4(x)
-    if mode == "merge2":
-        return patch_merge2(x, kwargs["grid_hw"], kwargs["weight"])
-    if mode == "linear_embed":
-        return linear_embed(x, kwargs["weight"])
-    raise ValueError(f"unknown patch op {mode!r}")
-
-
-# ---------------------------------------------------------------------------
 # complexity accounting
 
 

@@ -34,26 +34,13 @@ class Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _parse_kv(text, path="<config>"):
-    values = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise CliError(f"{path}: malformed line {raw!r}")
-        key, val = (part.strip() for part in line.split("=", 1))
-        values[key] = val
-    return values
-
-
 def _load_kv(path, overrides):
     values = {}
     if path:
         p = Path(path)
         if not p.exists():
             raise FileNotFoundError(f"config file {path} not found")
-        values.update(_parse_kv(p.read_text(), str(path)))
+        values.update(M.parse_kv(p.read_text(), str(path)))
     for item in overrides or []:
         if "=" not in item:
             raise CliError(f"--set expects key=value, got {item!r}")
@@ -132,7 +119,7 @@ def read_dataset(data_dir):
     meta_path = data_dir / "dataset.txt"
     if not meta_path.exists():
         raise FileNotFoundError(f"{data_dir} is not a dataset directory")
-    meta = _parse_kv(meta_path.read_text(), str(meta_path))
+    meta = M.parse_kv(meta_path.read_text(), str(meta_path))
     count = int(meta["count"])
     num_classes = int(meta["num_classes"])
     samples = []

@@ -169,93 +169,30 @@ _COMPONENTS = ("dice", "jaccard", "boundary")
 
 
 def composite_loss(s, g, schedule, epoch, components=_COMPONENTS,
-                   level_set_map=None, class_weights=None, xi=1e-6):
-    """Weighted sum of the selected loss components at the given epoch.
+                   level_sets=None, xi=1e-6):
+    """Weighted sum of the selected loss components at the given epoch, as
+    the mean over a batch of (C, H, W) prediction/target stacks.
+
+    s and g are (B, C, H, W); g is binary (one-hot when C > 1). Dice sums
+    the overlap ratios of all C planes, background included, as dice_loss
+    does on one sample: with C > 1 it lies between 1 - C and 1 (plus xi), so
+    it reads below zero once the overlaps sum past one. Jaccard and boundary
+    run over the foreground planes (plane 0 when C == 1, planes 1..C-1
+    otherwise) and are averaged over planes and samples; bounding boxes are
+    per (sample, plane). level_sets holds the (B, K, H, W) signed distances
+    of the K foreground planes and is required when "boundary" is selected.
 
     Returns (total, breakdown) where breakdown holds the unweighted value of
-    each computed component plus the boundary weight in effect. For
-    multi-class inputs (C, H, W with one-hot g), jaccard and boundary are
-    averaged over the non-background classes.
-    """
-    unknown = set(components) - set(_COMPONENTS)
-    if unknown or not components:
-        raise ValueError(f"loss components must be a non-empty subset "
-                         f"of {_COMPONENTS}, got {components!r}")
-    multiclass = s.ndim == 3 and s.shape[0] > 1
-    breakdown = {"lambda_b": schedule.lambda_b(epoch)}
-    total = None
-
-    def acc(term, weight):
-        nonlocal total
-        weighted = term * weight
-        total = weighted if total is None else total + weighted
-
-    if "dice" in components:
-        zd = dice_loss(s, g, class_weights=class_weights, xi=xi)
-        breakdown["dice"] = zd.item()
-        acc(zd, schedule.lambda_d)
-    if "jaccard" in components:
-        if multiclass:
-            planes = [
-                jaccard_loss(_plane(s, k), _plane(g, k), xi=xi)
-                for k in range(1, s.shape[0])
-            ]
-            zj = _mean_of(planes)
-        else:
-            zj = jaccard_loss(s, g, xi=xi)
-        breakdown["jaccard"] = zj.item()
-        acc(zj, schedule.lambda_j)
-    if "boundary" in components:
-        if multiclass:
-            maps = level_set_map or [
-                level_set(_plane(g, k).data) for k in range(1, s.shape[0])
-            ]
-            planes = [
-                boundary_loss(_plane(s, k), m) for k, m in zip(
-                    range(1, s.shape[0]), maps)
-            ]
-            zb = _mean_of(planes)
-        else:
-            lsm = level_set_map if level_set_map is not None else level_set(
-                _as_2d(g).data
-            )
-            zb = boundary_loss(_as_2d(s), lsm)
-        breakdown["boundary"] = zb.item()
-        acc(zb, schedule.lambda_b(epoch))
-    return total, breakdown
-
-
-def _plane(t, k):
-    return T.reshape(T.narrow(t, 0, k, 1), t.shape[1:])
-
-
-def _as_2d(t):
-    return _plane(t, 0) if t.ndim == 3 else t
-
-
-def _mean_of(terms):
-    out = terms[0]
-    for t in terms[1:]:
-        out = out + t
-    return out * (1.0 / len(terms))
-
-
-def composite_loss_batch(s, g, schedule, epoch, components=_COMPONENTS,
-                         level_set_maps=None, xi=1e-6):
-    """Mean of per-sample binary composite losses over a (B, H, W) batch.
-
-    Value equals averaging composite_loss over the samples; the per-sample
-    reductions are just evaluated as one batched graph so the tape stays
-    small. Bounding boxes and level-set maps remain per-sample.
+    each computed component plus the boundary weight in effect.
     """
     unknown = set(components) - set(_COMPONENTS)
     if unknown or not components:
         raise ValueError(f"loss components must be a non-empty subset "
                          f"of {_COMPONENTS}, got {components!r}")
     _check_prob_mask(s, g)
-    if s.ndim != 3:
-        raise ShapeError("composite_loss_batch expects (B, H, W) stacks")
-    batch = s.shape[0]
+    if s.ndim != 4:
+        raise ShapeError(f"composite_loss expects (B, C, H, W) stacks, "
+                         f"got {s.shape}")
     breakdown = {"lambda_b": schedule.lambda_b(epoch)}
     total = None
 
@@ -265,32 +202,34 @@ def composite_loss_batch(s, g, schedule, epoch, components=_COMPONENTS,
         total = weighted if total is None else total + weighted
 
     if "dice" in components:
-        inter = T.tsum(s * g, axes=[1, 2])
-        denom = T.tsum(s * s, axes=[1, 2]) + T.tsum(g * g, axes=[1, 2])
-        zd = T.tmean(1.0 - 2.0 * inter / denom + xi)
+        inter = T.tsum(s * g, axes=[2, 3])
+        denom = T.tsum(s * s, axes=[2, 3]) + T.tsum(g * g, axes=[2, 3])
+        zd = T.tmean(1.0 - T.tsum(2.0 * inter / denom, axes=[1]) + xi)
         breakdown["dice"] = zd.item()
         acc(zd, schedule.lambda_d)
+    if s.shape[1] > 1:  # jaccard and boundary score the foreground planes
+        s = T.narrow(s, 1, 1, s.shape[1] - 1)
+        g = T.narrow(g, 1, 1, g.shape[1] - 1)
+    if "boundary" in components and np.shape(level_sets) != s.shape:
+        raise ShapeError(f"boundary term needs {s.shape} level sets")
     if "jaccard" in components:
-        inter = T.tsum(s * g, axes=[1, 2])
-        union_mass = T.tsum(s, axes=[1, 2]) + T.tsum(g, axes=[1, 2]) - inter
+        inter = T.tsum(s * g, axes=[2, 3])
+        union_mass = T.tsum(s, axes=[2, 3]) + T.tsum(g, axes=[2, 3]) - inter
         iou = inter / union_mass
         box_masks = np.zeros(s.shape)
-        areas = np.empty(batch)
-        for i in range(batch):
-            r0, r1, c0, c1 = _union_bbox(s.data[i], g.data[i])
-            box_masks[i, r0:r1, c0:c1] = 1.0
-            areas[i] = (r1 - r0) * (c1 - c0)
+        areas = np.empty(s.shape[:2])
+        for i, k in np.ndindex(*areas.shape):
+            r0, r1, c0, c1 = _union_bbox(s.data[i, k], g.data[i, k])
+            box_masks[i, k, r0:r1, c0:c1] = 1.0
+            areas[i, k] = (r1 - r0) * (c1 - c0)
         soft_union = s + g - s * g
-        box_mass = T.tsum(soft_union * Tensor(box_masks), axes=[1, 2])
+        box_mass = T.tsum(soft_union * Tensor(box_masks), axes=[2, 3])
         box_term = (Tensor(areas) - box_mass) / Tensor(areas)
         zj = T.tmean(1.0 - iou - box_term + xi)
         breakdown["jaccard"] = zj.item()
         acc(zj, schedule.lambda_j)
     if "boundary" in components:
-        if level_set_maps is None or len(level_set_maps) != batch:
-            raise ShapeError("need one level-set map per batch sample")
-        values = np.stack([m.values for m in level_set_maps])
-        zb = T.tmean(T.tmean(Tensor(values) * s, axes=[1, 2]))
+        zb = T.tmean(T.tmean(Tensor(level_sets) * s, axes=[2, 3]))
         breakdown["boundary"] = zb.item()
         acc(zb, schedule.lambda_b(epoch))
     return total, breakdown

@@ -300,6 +300,12 @@ def _swin_flops(d, h, w, n, mlp_ratio):
     return attn + mlp
 
 
+def _transposed_conv_flops(cin, cout, h, w):
+    """FLOPs of B.transposed_conv producing an (h, w) map: each output pixel
+    takes one product per input channel, as the 2x2 windows do not overlap."""
+    return 2 * cin * cout * h * w
+
+
 def _convlstm_flops(cin, hidden, h, w, steps, k=3):
     """FLOPs of B.bconv_lstm over a sequence of `steps` maps. Every step
     convolves its input with the four x-kernels; each step after the first
@@ -335,7 +341,7 @@ def count_flops(config):
     steps = 2 if config.skip_sequence_mode == "paired" else 1
     for width in reversed(config.skip_channels()):
         h, w = h * 2, w * 2
-        total += 2 * 4 * dec_in * width * h * w  # 2x2 stride-2 transposed conv
+        total += _transposed_conv_flops(dec_in, width, h, w)
         total += 2 * _sepconv_flops(width, width, h, w)
         if config.decoder_swin:
             total += _swin_flops(width, h, w, config.window_size, config.mlp_ratio)
@@ -473,19 +479,23 @@ def config_to_text(cfg):
     return "\n".join(lines) + "\n"
 
 
-def config_from_text(text, overrides=None):
+def parse_kv(text, source="<config>"):
+    """{key: value} strings from key=value lines; '#' starts a comment."""
     values = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"malformed config line: {raw!r}")
+            raise ValueError(f"{source}: malformed line {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_FIELDS:
-            raise ValueError(f"unknown config key: {key!r}")
-        values[key] = _CONFIG_FIELDS[key](val)
-    for key, val in (overrides or {}).items():
+        values[key] = val
+    return values
+
+
+def config_from_text(text, overrides=None):
+    values = {}
+    for key, val in {**parse_kv(text), **(overrides or {})}.items():
         if key not in _CONFIG_FIELDS:
             raise ValueError(f"unknown config key: {key!r}")
         values[key] = _CONFIG_FIELDS[key](val)

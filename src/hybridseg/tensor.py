@@ -327,23 +327,6 @@ def sqrt(a):
     return _register(out, [a], lambda g: (g * 0.5 / y,))
 
 
-_UNARY = {"relu": relu, "sigmoid": sigmoid, "tanh": tanh}
-_BINARY = {"add": add, "sub": sub, "mul": mul}
-
-
-def elementwise(op_kind, a, b=None):
-    """Dispatch the elementwise op set {add, sub, mul, relu, sigmoid, tanh}."""
-    if op_kind in _BINARY:
-        if b is None:
-            raise ValueError(f"{op_kind} requires two operands")
-        return _BINARY[op_kind](a, b)
-    if op_kind in _UNARY:
-        if b is not None:
-            raise ValueError(f"{op_kind} takes a single operand")
-        return _UNARY[op_kind](a)
-    raise ValueError(f"unknown elementwise op {op_kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # structural primitives
 
@@ -497,14 +480,6 @@ def tmax(a, axes=None, keepdims=False):
         return (buf.reshape(moved.shape).transpose(np.argsort(perm)),)
 
     return _register(out, [a], bw)
-
-
-def reduce(op_kind, a, axes=None, keepdims=False):
-    """Dispatch the reduction set {sum, mean, max}."""
-    table = {"sum": tsum, "mean": tmean, "max": tmax}
-    if op_kind not in table:
-        raise ValueError(f"unknown reduction {op_kind!r}")
-    return table[op_kind](a, axes=axes, keepdims=keepdims)
 
 
 def softmax(a, axis):

@@ -130,18 +130,11 @@ def _val_scores(params, val_set, batch_size):
         x = Tensor(np.stack([img for img, _ in chunk]))
         out = M.forward(params, x, training=False).data
         for prob, (_, mask) in zip(out, chunk):
-            if cfg.num_classes == 1:
-                m = ME.seg_metrics(ME.confusion(_binarize(prob, 1), mask > 0))
-            else:
-                decided = _binarize(prob, cfg.num_classes)
-                m = ME.seg_metrics(ME.confusion(decided > 0, mask > 0))
+            decided = _binarize(prob, cfg.num_classes) > 0
+            m = ME.seg_metrics(ME.confusion(decided, mask > 0))
             js.append(0.0 if m["J"] is None else m["J"] / 100.0)
             ds.append(0.0 if m["D"] is None else m["D"] / 100.0)
     return float(np.mean(js)), float(np.mean(ds))
-
-
-def _one_hot(mask, num_classes):
-    return np.stack([(mask == k).astype(float) for k in range(num_classes)])
 
 
 def train(model_cfg, train_cfg, dataset, out_dir=None, init_checkpoint=None):
@@ -166,19 +159,21 @@ def train(model_cfg, train_cfg, dataset, out_dir=None, init_checkpoint=None):
     for i in order[n_val:]:
         train_set.extend(D.augment(*dataset[i]))
 
-    multiclass = model_cfg.num_classes > 1
-    use_boundary = "boundary" in train_cfg.loss_components
-    levelsets = []
-    for _, mask in train_set:
-        if not use_boundary:
-            levelsets.append(None)
-        elif multiclass:
-            levelsets.append(
-                [L.level_set((mask == k).astype(float))
-                 for k in range(1, model_cfg.num_classes)]
-            )
-        else:
-            levelsets.append(L.level_set((mask > 0).astype(float)))
+    # one boolean (C, H, W) target stack per view: the mask itself for one
+    # class, one-hot otherwise; level sets are cached for its foreground planes
+    classes = model_cfg.num_classes
+    targets = [
+        (mask > 0)[None] if classes == 1
+        else mask[None] == np.arange(classes)[:, None, None]
+        for _, mask in train_set
+    ]
+    first_fg = 0 if classes == 1 else 1
+    levelsets = None
+    if "boundary" in train_cfg.loss_components:
+        levelsets = [
+            np.stack([L.level_set(p).values for p in g[first_fg:]])
+            for g in targets
+        ]
 
     params = M.build(model_cfg, train_cfg.seed)
     if init_checkpoint is not None:
@@ -206,42 +201,15 @@ def train(model_cfg, train_cfg, dataset, out_dir=None, init_checkpoint=None):
                 x = Tensor(np.stack([train_set[i][0] for i in idxs]))
                 with T.record():
                     out = M.forward(params, x, training=True)
-                    if multiclass:
-                        total = None
-                        for pos, i in enumerate(idxs):
-                            s_i = T.reshape(
-                                T.narrow(out, 0, pos, 1), out.shape[1:]
-                            )
-                            g_i = Tensor(
-                                _one_hot(train_set[i][1], model_cfg.num_classes)
-                            )
-                            loss_i, parts = L.composite_loss(
-                                s_i, g_i, sched, epoch,
-                                components=train_cfg.loss_components,
-                                level_set_map=levelsets[i],
-                            )
-                            total = (
-                                loss_i if total is None else total + loss_i
-                            )
-                            for name in sums:
-                                if name in parts:
-                                    sums[name] += parts[name]
-                        total = total * (1.0 / len(idxs))
-                    else:
-                        s_b = T.reshape(
-                            out, (out.shape[0],) + out.shape[2:]
-                        )
-                        g_b = Tensor(np.stack(
-                            [(train_set[i][1] > 0).astype(float) for i in idxs]
-                        ))
-                        total, parts = L.composite_loss_batch(
-                            s_b, g_b, sched, epoch,
-                            components=train_cfg.loss_components,
-                            level_set_maps=[levelsets[i] for i in idxs],
-                        )
-                        for name in sums:
-                            if name in parts:
-                                sums[name] += parts[name] * len(idxs)
+                    total, parts = L.composite_loss(
+                        out, Tensor(np.stack([targets[i] for i in idxs])),
+                        sched, epoch, components=train_cfg.loss_components,
+                        level_sets=None if levelsets is None else np.stack(
+                            [levelsets[i] for i in idxs]),
+                    )
+                    for name in sums:
+                        if name in parts:
+                            sums[name] += parts[name] * len(idxs)
                     T.backward(total)
                 grads = {
                     k: t.grad if t.grad is not None else np.zeros_like(t.data)

@@ -561,45 +561,6 @@ class TestSwinBlockPair:
         assert grad_check(f, leaves, eps=1e-5).max_rel_error <= 1e-4
 
 
-class TestPatchOps:
-    def test_partition4_counts(self):
-        out = B.patch_partition4(Tensor(np.arange(3 * 64.0).reshape(1, 3, 8, 8)))
-        assert out.shape == (1, 4, 48)
-
-    def test_partition4_divisibility(self):
-        with pytest.raises(ShapeError):
-            B.patch_partition4(Tensor(np.zeros((1, 1, 6, 8))))
-
-    def test_merge2_quarters_tokens(self):
-        rng = np.random.default_rng(26)
-        tokens = Tensor(rng.uniform(-1, 1, (1, 16, 8)))
-        weight = Tensor(rng.uniform(-1, 1, (32, 16)))
-        out = B.patch_merge2(tokens, (4, 4), weight)
-        assert out.shape == (1, 4, 16)
-
-    def test_merge2_neighbor_grouping(self):
-        # token grid holding its own flat index: group (0,1,4,5) forms the
-        # first merged token on a 4x4 grid
-        tokens = np.zeros((1, 16, 1))
-        tokens[0, :, 0] = np.arange(16)
-        weight = Tensor(np.eye(4)[:, :2] * 0.0 + np.eye(4, 2))
-        out = B.patch_merge2(Tensor(tokens), (4, 4), Tensor(np.eye(4, 2)))
-        # identity-ish projection keeps the first two stacked features
-        assert np.allclose(out.data[0, 0], [0.0, 1.0])
-        assert np.allclose(out.data[0, 1], [2.0, 3.0])
-        assert np.allclose(out.data[0, 2], [8.0, 9.0])
-
-    def test_linear_embed_identity(self):
-        rng = np.random.default_rng(27)
-        tokens = rng.uniform(-1, 1, (2, 5, 4))
-        out = B.linear_embed(Tensor(tokens), Tensor(np.eye(4)))
-        assert np.allclose(out.data, tokens, atol=1e-14)
-
-    def test_dispatcher(self):
-        with pytest.raises(ValueError):
-            B.patch_ops(Tensor(np.zeros((1, 1, 4, 4))), "resize")
-
-
 class TestComplexity:
     def test_hand_substitution_msa(self):
         assert B.complexity_msa(8, 8, 4) == 36864

@@ -60,6 +60,13 @@ class TestSynth:
         samples, _ = cli.read_dataset(tmp_path / "d")
         assert len(samples) == 3
 
+    def test_malformed_spec_line_fails_validation(self, tmp_path, capsys):
+        spec = tmp_path / "spec.txt"
+        spec.write_text("image_size=16\ncount 3\n")
+        assert run("synth", "--spec", str(spec),
+                   "--out", str(tmp_path / "d")) == 1
+        assert "malformed line 'count 3'" in capsys.readouterr().err
+
 
 class TestTrainEvalPredict:
     def test_pipeline(self, tmp_path, dataset_dir, capsys):

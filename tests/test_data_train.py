@@ -7,7 +7,7 @@ from hybridseg import data as D
 from hybridseg import losses as L
 from hybridseg import model as M
 from hybridseg import train as TR
-from hybridseg.tensor import NonFiniteError, Tensor
+from hybridseg.tensor import NonFiniteError, ShapeError, Tensor, grad_check
 
 
 def adam_oracle(x0, grad_fn, lr, steps, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -165,30 +165,81 @@ class TestLrSchedule:
         assert lr == 1e-7
 
 
+def loss_batch(classes, batch=3, size=8, seed=9):
+    """Probabilities away from the 0.5 box edge, (B, C, H, W) targets (the
+    mask for one class, one-hot otherwise) and foreground level sets."""
+    rng = np.random.default_rng(seed)
+    labels = []
+    while len(labels) < batch:
+        lab = rng.integers(0, max(classes, 2), (size, size))
+        if len(np.unique(lab)) == max(classes, 2):
+            labels.append(lab)
+    lab = np.stack(labels)[:, None]
+    g = (lab > 0 if classes == 1 else lab == np.arange(classes)[:, None, None])
+    g = g.astype(float)
+    u = rng.random(g.shape)
+    s = np.where(u < 0.5, 0.05 + 0.8 * u, 0.55 + 0.8 * (u - 0.5))
+    fg = range(classes)[1:] if classes > 1 else range(1)
+    level_sets = np.stack(
+        [[L.level_set(gi[k]).values for k in fg] for gi in g]
+    )
+    return s, g, level_sets, fg
+
+
 class TestBatchedLossAgreesWithPerSample:
+    """The batched composite equals the mean over samples of the
+    single-plane terms composed by hand."""
+
     def test_equality(self):
-        rng = np.random.default_rng(9)
         sched = L.LossSchedule()
-        masks, probs, maps = [], [], []
-        for _ in range(4):
-            m = np.zeros((8, 8))
-            m[rng.integers(0, 4) : rng.integers(5, 8),
-              rng.integers(0, 4) : rng.integers(5, 8)] = 1.0
-            u = rng.random((8, 8))
-            p = np.where(u < 0.5, 0.05 + 0.8 * u, 0.55 + 0.8 * (u - 0.5))
-            masks.append(m)
-            probs.append(p)
-            maps.append(L.level_set(m))
-        batch_total, batch_parts = L.composite_loss_batch(
-            Tensor(np.stack(probs)), Tensor(np.stack(masks)), sched, 7,
-            level_set_maps=maps,
-        )
-        per_sample = [
-            L.composite_loss(Tensor(p), Tensor(m), sched, 7, level_set_map=l)[0]
-            for p, m, l in zip(probs, masks, maps)
-        ]
-        mean = sum(t.item() for t in per_sample) / 4.0
-        assert abs(batch_total.item() - mean) <= 1e-12
+        for classes in (1, 3):
+            s, g, level_sets, fg = loss_batch(classes)
+            total, parts = L.composite_loss(
+                Tensor(s), Tensor(g), sched, 7, level_sets=level_sets
+            )
+            per_sample = []
+            for si, gi in zip(s, g):
+                zd = L.dice_loss(Tensor(si), Tensor(gi)).item()
+                zj = np.mean([
+                    L.jaccard_loss(Tensor(si[k]), Tensor(gi[k])).item()
+                    for k in fg
+                ])
+                zb = np.mean([
+                    L.boundary_loss(Tensor(si[k]), L.level_set(gi[k])).item()
+                    for k in fg
+                ])
+                per_sample.append((zd, zj, zb))
+            zd, zj, zb = np.mean(per_sample, axis=0)
+            expect = (sched.lambda_d * zd + sched.lambda_j * zj
+                      + sched.lambda_b(7) * zb)
+            assert abs(total.item() - expect) <= 1e-12, classes
+            assert abs(parts["dice"] - zd) <= 1e-12
+            assert abs(parts["jaccard"] - zj) <= 1e-12
+            assert abs(parts["boundary"] - zb) <= 1e-12
+
+    @pytest.mark.parametrize("classes", [1, 3])
+    def test_grad_check(self, classes):
+        s, g, level_sets, _ = loss_batch(classes)
+        s = Tensor(s, requires_grad=True)
+
+        def f(s):
+            return L.composite_loss(s, Tensor(g), L.LossSchedule(), 7,
+                                    level_sets=level_sets)[0]
+
+        assert grad_check(f, [s], eps=1e-5).max_rel_error <= 1e-4
+
+    @pytest.mark.parametrize("classes", [1, 3])
+    def test_level_sets_missing_or_misshaped(self, classes):
+        s, g, level_sets, _ = loss_batch(classes)
+        sched = L.LossSchedule()
+        for bad in (None, level_sets[:, 0], level_sets[:-1],
+                    np.concatenate([level_sets, level_sets], axis=1)):
+            with pytest.raises(ShapeError):
+                L.composite_loss(Tensor(s), Tensor(g), sched, 0,
+                                 level_sets=bad)
+        _, parts = L.composite_loss(Tensor(s), Tensor(g), sched, 0,
+                                    components=("dice", "jaccard"))
+        assert "boundary" not in parts
 
 
 class TestTrainLoop:

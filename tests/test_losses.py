@@ -294,23 +294,24 @@ class TestSchedule:
 class TestCompositeLoss:
     def test_dice_only_equals_dice(self):
         rng = np.random.default_rng(9)
-        s = Tensor(soft_probs(rng, (6, 6)))
-        g = Tensor(random_mask(rng, 6, 6))
+        s = soft_probs(rng, (6, 6))
+        g = random_mask(rng, 6, 6)
         total, breakdown = L.composite_loss(
-            s, g, L.LossSchedule(), epoch=0, components=("dice",)
+            Tensor(s[None, None]), Tensor(g[None, None]), L.LossSchedule(),
+            epoch=0, components=("dice",)
         )
-        assert total.item() == L.dice_loss(s, g).item()
+        assert total.item() == L.dice_loss(Tensor(s), Tensor(g)).item()
         assert set(breakdown) == {"lambda_b", "dice"}
 
     def test_full_combination(self):
         rng = np.random.default_rng(10)
-        s = Tensor(soft_probs(rng, (6, 6)))
+        s = Tensor(soft_probs(rng, (1, 1, 6, 6)))
         gm = random_mask(rng, 6, 6)
-        g = Tensor(gm)
+        g = Tensor(gm[None, None])
         sched = L.LossSchedule()
         lsm = L.level_set(gm)
         total, parts = L.composite_loss(
-            s, g, sched, epoch=30, level_set_map=lsm
+            s, g, sched, epoch=30, level_sets=lsm.values[None, None]
         )
         expect = (
             sched.lambda_d * parts["dice"]
@@ -323,7 +324,7 @@ class TestCompositeLoss:
     def test_unknown_component(self):
         with pytest.raises(ValueError):
             L.composite_loss(
-                Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 2))),
+                Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 2, 2))),
                 L.LossSchedule(), 0, components=("focal",),
             )
 
@@ -335,8 +336,10 @@ class TestCompositeLoss:
         onehot = np.stack([(g_lab == k).astype(float) for k in range(3)])
         logits = rng.random((3, 8, 8))
         probs = logits / logits.sum(axis=0, keepdims=True)
+        level_sets = np.stack([L.level_set(onehot[k]).values for k in (1, 2)])
         total, parts = L.composite_loss(
-            Tensor(probs), Tensor(onehot), L.LossSchedule(), epoch=0
+            Tensor(probs[None]), Tensor(onehot[None]), L.LossSchedule(),
+            epoch=0, level_sets=level_sets[None],
         )
         assert np.isfinite(total.item())
         assert {"dice", "jaccard", "boundary"} <= set(parts)

@@ -234,6 +234,26 @@ class TestCounters:
         B.bconv_lstm(seq, p)
         assert sum(executed) == M._convlstm_flops(cin, hidden, h, w, length)
 
+    @pytest.mark.parametrize("cfg", [M.ModelConfig(), tiny_config()],
+                             ids=["acceptance", "tiny"])
+    def test_transposed_conv_flops_match_executed(self, monkeypatch, cfg):
+        executed = []
+        conv_transpose2d = T.conv_transpose2d
+
+        def counting(x, wt):
+            out = conv_transpose2d(x, wt)
+            executed.append(2 * out.size * x.shape[1])
+            return out
+
+        monkeypatch.setattr(T, "conv_transpose2d", counting)
+        x = np.zeros((1, cfg.input_channels, cfg.input_height, cfg.input_width))
+        M.forward(M.build(cfg, 0), Tensor(x))
+        analytic = M.count_flops(cfg)
+        monkeypatch.setattr(M, "_transposed_conv_flops", lambda *shape: 0)
+        analytic -= M.count_flops(cfg)
+        assert len(executed) == len(cfg.skip_channels())
+        assert sum(executed) == analytic
+
     @pytest.mark.parametrize("mode", ["single", "paired"])
     def test_training_step_convolves_no_all_zero_input(self, monkeypatch, mode):
         cfg = M.ModelConfig(skip_sequence_mode=mode)  # acceptance configuration

@@ -10,11 +10,9 @@ from hybridseg.tensor import (
     Tensor,
     backward,
     concat,
-    elementwise,
     grad_check,
     matmul,
     record,
-    reduce,
     softmax,
 )
 
@@ -52,11 +50,11 @@ def fd_grad(f, x, eps=1e-6):
 
 class TestElementwise:
     def test_relu_definition(self):
-        out = elementwise("relu", Tensor([-1.0, 0.0, 2.0]))
+        out = T.relu(Tensor([-1.0, 0.0, 2.0]))
         assert np.array_equal(out.data, [0.0, 0.0, 2.0])
 
     def test_sigmoid_at_zero(self):
-        out = elementwise("sigmoid", Tensor([0.0]))
+        out = T.sigmoid(Tensor([0.0]))
         assert np.allclose(out.data, [0.5])
 
     def test_sigmoid_bitwise_equals_two_branch_form(self):
@@ -71,7 +69,7 @@ class TestElementwise:
         assert T.sigmoid(Tensor(x)).data.tobytes() == ref.tobytes()
 
     def test_add(self):
-        out = elementwise("add", Tensor([1.0, 2.0]), Tensor([3.0, 4.0]))
+        out = T.add(Tensor([1.0, 2.0]), Tensor([3.0, 4.0]))
         assert np.array_equal(out.data, [4.0, 6.0])
 
     def test_broadcast_extent_one(self):
@@ -81,7 +79,7 @@ class TestElementwise:
 
     def test_incompatible_shapes(self):
         with pytest.raises(ShapeError):
-            elementwise("add", Tensor(np.ones((2, 3))), Tensor(np.ones((2, 2))))
+            T.add(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 2))))
 
     def test_nonfinite_result(self):
         with pytest.raises(NonFiniteError):
@@ -90,10 +88,6 @@ class TestElementwise:
     def test_nonfinite_construction(self):
         with pytest.raises(NonFiniteError):
             Tensor([np.nan])
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            elementwise("pow", Tensor([1.0]), Tensor([2.0]))
 
 
 class TestMatmul:
@@ -175,17 +169,17 @@ class TestConcat:
 
 class TestReduce:
     def test_sum_all(self):
-        out = reduce("sum", Tensor([[1.0, 2.0], [3.0, 4.0]]))
+        out = T.tsum(Tensor([[1.0, 2.0], [3.0, 4.0]]))
         assert out.item() == 10.0
 
     def test_mean(self):
-        assert reduce("mean", Tensor([2.0, 4.0])).item() == 3.0
+        assert T.tmean(Tensor([2.0, 4.0])).item() == 3.0
 
     def test_max_routes_single_argmax(self):
         rng = np.random.default_rng(11)
         x = Tensor(rng.standard_normal(7), requires_grad=True)
         with record():
-            out = reduce("max", x)
+            out = T.tmax(x)
             backward(out)
         assert x.grad.sum() == 1.0
         assert np.count_nonzero(x.grad) == 1
@@ -198,7 +192,7 @@ class TestReduce:
 
     def test_invalid_axis(self):
         with pytest.raises(ShapeError):
-            reduce("sum", Tensor([1.0, 2.0]), axes=[3])
+            T.tsum(Tensor([1.0, 2.0]), axes=[3])
 
 
 class TestSoftmax:
