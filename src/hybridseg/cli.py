@@ -15,7 +15,6 @@ import numpy as np
 
 from . import blocks as B
 from . import data as D
-from . import losses as L
 from . import metrics as ME
 from . import model as M
 from . import pgm
@@ -49,51 +48,19 @@ def _load_kv(path, overrides):
     return values
 
 
-_SYNTH_FIELDS = {
-    "image_size": int, "family": str, "noise_level": float,
-    "contrast_lo": float, "contrast_hi": float, "num_classes": int,
-    "count": int,
-}
-
-_TRAIN_FIELDS = {
-    "max_epochs": int, "initial_lr": float, "plateau_patience": int,
-    "plateau_factor": float, "early_stop_patience": int, "batch_size": int,
-    "seed": int, "val_fraction": float, "min_lr": float,
-    "loss_components": lambda s: tuple(
-        part.strip() for part in s.split(",") if part.strip()
-    ),
-}
-
-_SCHEDULE_FIELDS = {
-    "lambda_d": float, "lambda_j": float, "lambda_b_initial": float,
-    "lambda_b_decay": float, "lambda_b_floor": float,
-}
-
-
-def _typed_subset(values, fields):
-    out = {}
-    for key in list(values):
-        if key in fields:
-            out[key] = fields[key](values.pop(key))
-    return out
-
-
 def _build_synth_spec(values):
-    kwargs = _typed_subset(values, _SYNTH_FIELDS)
+    spec = M.config_from_kv(D.SynthSpec, values)
     if values:
         raise CliError(f"unknown synth config keys: {sorted(values)}")
-    return D.SynthSpec(**kwargs)
+    return spec
 
 
 def _build_configs(values, seed=None):
-    train_kwargs = _typed_subset(values, _TRAIN_FIELDS)
-    sched_kwargs = _typed_subset(values, _SCHEDULE_FIELDS)
-    model_cfg = M.config_from_text("", overrides=values)  # raises on unknowns
-    if sched_kwargs:
-        train_kwargs["schedule"] = L.LossSchedule(**sched_kwargs)
     if seed is not None:
-        train_kwargs["seed"] = seed
-    return model_cfg, TR.TrainConfig(**train_kwargs)
+        values["seed"] = str(seed)
+    train_cfg = M.config_from_kv(TR.TrainConfig, values)
+    model_cfg = M.config_from_text("", overrides=values)  # raises on unknowns
+    return model_cfg, train_cfg
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +87,15 @@ def read_dataset(data_dir):
     if not meta_path.exists():
         raise FileNotFoundError(f"{data_dir} is not a dataset directory")
     meta = M.parse_kv(meta_path.read_text(), str(meta_path))
-    count = int(meta["count"])
-    num_classes = int(meta["num_classes"])
+    sizes = []
+    for key in ("count", "num_classes"):
+        text = meta.get(key, "")
+        if not text.isdecimal() or int(text) < 1:
+            raise FormatError(
+                f"{meta_path}: {key} must be an integer >= 1, got {text!r}"
+            )
+        sizes.append(int(text))
+    count, num_classes = sizes
     samples = []
     for i in range(count):
         image = pgm.read_image(data_dir / f"img_{i:04d}.pgm").pixels
@@ -335,19 +309,8 @@ def _cmd_train(args):
     return 0
 
 
-def _load_model(checkpoint):
-    return M.load_checkpoint(checkpoint)
-
-
-def _predict_mask(params, image):
-    out = M.forward(params, Tensor(image[None]), training=False).data[0]
-    if params.config.num_classes == 1:
-        return (out[0] >= 0.5).astype(np.int64)
-    return out.argmax(axis=0), out
-
-
 def _cmd_eval(args):
-    params = _load_model(args.checkpoint)
+    params = M.load_checkpoint(args.checkpoint)
     dataset, num_classes = read_dataset(args.data)
     cfg = params.config
     if num_classes != cfg.num_classes:
@@ -355,19 +318,16 @@ def _cmd_eval(args):
             f"dataset has {num_classes} classes, checkpoint {cfg.num_classes}"
         )
     names = [f"img_{i:04d}" for i in range(len(dataset))]
+    probs = [
+        M.forward(params, Tensor(img[None]), training=False).data[0]
+        for img, _ in dataset
+    ]
+    preds = [M.labels_from_probs(p) for p in probs]
     if cfg.num_classes == 1:
-        preds = []
-        for image, _ in dataset:
-            preds.append(_predict_mask(params, image))
         report = ME.binary_report(
             [p > 0 for p in preds], [m > 0 for _, m in dataset], names
         )
     else:
-        probs = [
-            M.forward(params, Tensor(img[None]), training=False).data[0]
-            for img, _ in dataset
-        ]
-        preds = [p.argmax(axis=0) for p in probs]
         report = ME.multiclass_report(
             probs, [m for _, m in dataset], cfg.num_classes, names
         )
@@ -377,15 +337,14 @@ def _cmd_eval(args):
         overlay_dir.mkdir(parents=True, exist_ok=True)
         for name, pred, (image, mask) in zip(names, preds, dataset):
             pgm.overlay_report(
-                image, mask > 0, np.asarray(pred) > 0,
-                overlay_dir / f"{name}.ppm",
+                image, mask > 0, pred > 0, overlay_dir / f"{name}.ppm",
             )
     print(f"wrote report for {len(dataset)} images to {args.report}")
     return 0
 
 
 def _cmd_predict(args):
-    params = _load_model(args.checkpoint)
+    params = M.load_checkpoint(args.checkpoint)
     record = pgm.read_image(args.image)
     cfg = params.config
     if record.pixels.shape != (cfg.input_channels, cfg.input_height,
@@ -393,10 +352,11 @@ def _cmd_predict(args):
         raise CliError(
             f"image {record.pixels.shape} does not match the checkpoint config"
         )
-    pred = _predict_mask(params, record.pixels)
-    labels = pred[0] if isinstance(pred, tuple) else pred
+    prob = M.forward(params, Tensor(record.pixels[None]), training=False).data[0]
     pgm.write_mask(
-        pgm.MaskRecord(labels=labels, num_classes=cfg.num_classes), args.out
+        pgm.MaskRecord(labels=M.labels_from_probs(prob),
+                       num_classes=cfg.num_classes),
+        args.out,
     )
     print(f"wrote mask to {args.out}")
     return 0

@@ -12,7 +12,7 @@ flags so ablation rows all build from the same code path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +37,6 @@ class ModelConfig:
     transformer_placement: str = "skips_and_dense"
     skip_lstm: bool = True
     skip_sequence_mode: str = "single"  # or "paired": [decoder, skip] sequence
-    literal_decoder_input: bool = False  # feed the bottleneck to every stage
 
     def __post_init__(self):
         if self.input_height % 8 or self.input_width % 8:
@@ -188,9 +187,7 @@ def build(config, seed):
     dec_in = 32 * c  # dense output: 8C + 8C + 16C
     for width in reversed(config.skip_channels()):  # 4C, 2C, C
         stage = DecoderStage(
-            upconv=B.init_transposed_conv(
-                rng, dec_in if not config.literal_decoder_input else 32 * c, width
-            ),
+            upconv=B.init_transposed_conv(rng, dec_in, width),
             conv1=B.init_separable_conv(rng, width, width),
             conv2=B.init_separable_conv(rng, width, width),
         )
@@ -256,10 +253,12 @@ def forward(params, x, training=False, update_stats=None):
         axis=1,
     )
 
+    # each stage upsamples the previous stage's output: the bottleneck itself
+    # is at 1/8 extent, so feeding it to every stage would break the skip
+    # concatenation's shapes from the second stage on
     d = b3
     for i, stage in enumerate(params.dec):
-        src = b3 if cfg.literal_decoder_input else d
-        d = B.transposed_conv(src, stage.upconv)
+        d = B.transposed_conv(d, stage.upconv)
         d = _double_conv(d, (stage.conv1, stage.conv2), training, update_stats)
         if stage.swin is not None:
             d = _swin_padded(d, stage.swin)
@@ -279,6 +278,14 @@ def forward(params, x, training=False, update_stats=None):
     return T.softmax(logits, axis=1)
 
 
+def labels_from_probs(prob):
+    """Integer labels from (..., C, H, W) probabilities: threshold 0.5 for one
+    class, argmax over the classes otherwise."""
+    if prob.shape[-3] == 1:
+        return (prob[..., 0, :, :] >= 0.5).astype(np.int64)
+    return prob.argmax(axis=-3)
+
+
 # ---------------------------------------------------------------------------
 # counters
 
@@ -295,7 +302,11 @@ def _sepconv_flops(cin, cout, h, w, k=3):
 
 
 def _swin_flops(d, h, w, n, mlp_ratio):
-    attn = 2 * B.complexity_swmsa(h, w, d, n)  # both blocks of the pair
+    """FLOPs of _swin_padded on an (h, w) map: the pair runs on the grid
+    padded to window multiples, and complexity_swmsa counts one block's
+    multiply-accumulates."""
+    h, w = -(-h // n) * n, -(-w // n) * n
+    attn = 2 * 2 * B.complexity_swmsa(h, w, d, n)  # two blocks, 2 FLOPs per MAC
     mlp = 2 * 2 * 2 * h * w * d * int(d * mlp_ratio)  # two blocks, two layers
     return attn + mlp
 
@@ -383,7 +394,8 @@ def save_checkpoint(params, directory):
 
 
 def load_checkpoint_tensors(directory):
-    """Read {key: Tensor} from a checkpoint directory."""
+    """Read {key: Tensor} from a checkpoint directory. The manifest names each
+    key once, and its records, sorted by offset, tile tensors.bin exactly."""
     directory = Path(directory)
     manifest_path = directory / "manifest.txt"
     blob_path = directory / "tensors.bin"
@@ -391,6 +403,7 @@ def load_checkpoint_tensors(directory):
         raise FormatError(f"{directory} is not a checkpoint directory")
     buf = blob_path.read_bytes()
     out = {}
+    spans = []
     for line in manifest_path.read_text().splitlines():
         if not line.strip():
             continue
@@ -399,11 +412,22 @@ def load_checkpoint_tensors(directory):
             offset = int(offset_s)
         except ValueError as exc:
             raise FormatError(f"malformed manifest line: {line!r}") from exc
-        t, _ = T.tensor_from_bytes(buf, offset)
+        if key in out:
+            raise FormatError(f"manifest names {key} twice")
+        t, end = T.tensor_from_bytes(buf, offset)
         expect = tuple(int(v) for v in shape_s.split("x"))
         if t.shape != expect:
             raise FormatError(f"manifest shape {expect} != payload {t.shape}")
         out[key] = t
+        spans.append((offset, end, key))
+    pos = 0
+    for start, end, key in sorted(spans):
+        if start != pos:
+            kind = "overlaps the one before it" if start < pos else "follows a gap"
+            raise FormatError(f"tensors.bin record {key} at {start} {kind}")
+        pos = end
+    if pos != len(buf):
+        raise FormatError(f"tensors.bin has {len(buf) - pos} trailing bytes")
     return out
 
 
@@ -456,26 +480,8 @@ def transfer_weights(target, source_checkpoint):
 # flat key=value config text
 
 
-_CONFIG_FIELDS = {
-    "input_height": int,
-    "input_width": int,
-    "input_channels": int,
-    "base_channels": int,
-    "num_classes": int,
-    "window_size": int,
-    "num_heads": int,
-    "mlp_ratio": float,
-    "transformer_placement": str,
-    "skip_lstm": lambda s: s in ("1", "true", "True"),
-    "skip_sequence_mode": str,
-    "literal_decoder_input": lambda s: s in ("1", "true", "True"),
-}
-
-
 def config_to_text(cfg):
-    lines = []
-    for name in _CONFIG_FIELDS:
-        lines.append(f"{name}={getattr(cfg, name)}")
+    lines = [f"{f.name}={getattr(cfg, f.name)}" for f in fields(cfg)]
     return "\n".join(lines) + "\n"
 
 
@@ -493,10 +499,42 @@ def parse_kv(text, source="<config>"):
     return values
 
 
+def _parse_value(name, default, text):
+    if isinstance(default, bool):
+        if text.lower() in ("true", "1"):
+            return True
+        if text.lower() in ("false", "0"):
+            return False
+        raise ValueError(f"{name}: expected true, false, 1 or 0, got {text!r}")
+    if isinstance(default, tuple):
+        return tuple(part.strip() for part in text.split(",") if part.strip())
+    try:
+        return type(default)(text)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from exc
+
+
+def config_from_kv(cls, values):
+    """Build the config dataclass `cls` from {key: str}. Each field converts
+    with the type of its default; a field whose default is itself a config
+    dataclass takes that class's fields as flat keys. Known keys are popped
+    from `values`, so what remains is for the caller to report."""
+    kwargs = {}
+    for f in fields(cls):
+        default = f.default if f.default is not MISSING else f.default_factory()
+        if is_dataclass(default):
+            kwargs[f.name] = config_from_kv(type(default), values)
+        elif f.name in values:
+            kwargs[f.name] = _parse_value(f.name, default, values.pop(f.name))
+    return cls(**kwargs)
+
+
 def config_from_text(text, overrides=None):
-    values = {}
-    for key, val in {**parse_kv(text), **(overrides or {})}.items():
-        if key not in _CONFIG_FIELDS:
-            raise ValueError(f"unknown config key: {key!r}")
-        values[key] = _CONFIG_FIELDS[key](val)
-    return ModelConfig(**values)
+    values = {**parse_kv(text), **(overrides or {})}
+    # config.txt files written before this field was removed all carry it
+    if values.pop("literal_decoder_input", "false").lower() not in ("false", "0"):
+        raise ValueError("literal_decoder_input was removed; only False loads")
+    cfg = config_from_kv(ModelConfig, values)
+    if values:
+        raise ValueError(f"unknown config keys: {sorted(values)}")
+    return cfg

@@ -116,22 +116,14 @@ def _fmt(v):
     return str(v) if isinstance(v, int) else f"{v:.6g}"
 
 
-def _binarize(prob, num_classes):
-    if num_classes == 1:
-        return prob[0] >= 0.5
-    return prob.argmax(axis=0)
-
-
 def _val_scores(params, val_set, batch_size):
-    cfg = params.config
     js, ds = [], []
     for lo in range(0, len(val_set), batch_size):
         chunk = val_set[lo : lo + batch_size]
         x = Tensor(np.stack([img for img, _ in chunk]))
-        out = M.forward(params, x, training=False).data
-        for prob, (_, mask) in zip(out, chunk):
-            decided = _binarize(prob, cfg.num_classes) > 0
-            m = ME.seg_metrics(ME.confusion(decided, mask > 0))
+        labels = M.labels_from_probs(M.forward(params, x, training=False).data)
+        for pred, (_, mask) in zip(labels, chunk):
+            m = ME.seg_metrics(ME.confusion(pred > 0, mask > 0))
             js.append(0.0 if m["J"] is None else m["J"] / 100.0)
             ds.append(0.0 if m["D"] is None else m["D"] / 100.0)
     return float(np.mean(js)), float(np.mean(ds))
@@ -296,11 +288,10 @@ def _harness_train_cfg(seed, **kw):
 
 
 def _eval_model(params, eval_set):
-    cfg = params.config
     preds, gts = [], []
     for img, mask in eval_set:
         out = M.forward(params, Tensor(img[None]), training=False).data[0]
-        preds.append(_binarize(out, cfg.num_classes) > 0)
+        preds.append(M.labels_from_probs(out) > 0)
         gts.append(mask > 0)
     report = ME.binary_report(preds, gts)
     agg = report.aggregate()

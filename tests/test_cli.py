@@ -1,8 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hybridseg import cli
+from hybridseg import data as D
+from hybridseg import losses as L
+from hybridseg import model as M
 from hybridseg import pgm
+from hybridseg import train as TR
 
 
 def run(*argv):
@@ -18,6 +24,13 @@ def tiny_train_config(tmp_path, **extra):
     lines += [f"{k}={v}" for k, v in extra.items()]
     path = tmp_path / "train.cfg"
     path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def tiny_checkpoint(path):
+    cfg = M.ModelConfig(input_height=16, input_width=16, base_channels=2,
+                        window_size=2, num_heads=2, mlp_ratio=1.0)
+    M.save_checkpoint(M.build(cfg, 0), path)
     return path
 
 
@@ -128,6 +141,151 @@ class TestTrainEvalPredict:
             "train", "--config", str(cfg), "--data", str(tmp_path / "nope"),
             "--out", str(tmp_path / "x"),
         ) == 2
+
+
+BAD_DATASET_META = {
+    "count_missing": "num_classes=1\n",
+    "count_not_integer": "count=ten\nnum_classes=1\n",
+    "count_zero": "count=0\nnum_classes=1\n",
+    "num_classes_missing": "count=10\n",
+    "num_classes_not_integer": "count=10\nnum_classes=1.5\n",
+    "num_classes_negative": "count=10\nnum_classes=-1\n",
+}
+
+
+class TestDatasetMeta:
+    @pytest.mark.parametrize("meta", sorted(BAD_DATASET_META))
+    @pytest.mark.parametrize("verb", ["train", "eval"])
+    def test_bad_count_is_io_error(self, tmp_path, dataset_dir, capsys, verb,
+                                   meta):
+        (dataset_dir / "dataset.txt").write_text(BAD_DATASET_META[meta])
+        if verb == "train":
+            argv = ["--config", str(tiny_train_config(tmp_path)),
+                    "--out", str(tmp_path / "run")]
+        else:
+            argv = ["--checkpoint", str(tiny_checkpoint(tmp_path / "ckpt")),
+                    "--report", str(tmp_path / "report.csv")]
+        assert run(verb, "--data", str(dataset_dir), *argv) == 2
+        assert "must be an integer >= 1" in capsys.readouterr().err
+
+
+def _tamper(ckpt, defect):
+    lines = (ckpt / "manifest.txt").read_text().splitlines()
+    buf = (ckpt / "tensors.bin").read_bytes()
+    if defect == "trailing_bytes":
+        buf += bytes(8)
+    elif defect == "gap":  # 8 bytes after the first record, later offsets moved
+        end = int(lines[1].split()[2])
+        buf = buf[:end] + bytes(8) + buf[end:]
+        lines = lines[:1] + [
+            f"{key} {shape} {int(offset) + 8}"
+            for key, shape, offset in (line.split() for line in lines[1:])
+        ]
+    elif defect == "overlap":  # a later record points at an earlier one
+        fields = [line.split() for line in lines]
+        i, j = next((i, j) for i in range(len(fields))
+                    for j in range(i + 1, len(fields))
+                    if fields[i][1] == fields[j][1])
+        fields[j][2] = fields[i][2]
+        lines = [" ".join(f) for f in fields]
+    elif defect == "duplicate_key":
+        lines.append(lines[0])
+    (ckpt / "manifest.txt").write_text("\n".join(lines) + "\n")
+    (ckpt / "tensors.bin").write_bytes(buf)
+
+
+class TestCheckpointFormat:
+    @pytest.mark.parametrize("defect,message", [
+        ("trailing_bytes", "trailing bytes"), ("gap", "gap"),
+        ("overlap", "overlaps"), ("duplicate_key", "twice"),
+    ])
+    def test_predict_rejects_bad_layout(self, tmp_path, dataset_dir, capsys,
+                                        defect, message):
+        ckpt = tiny_checkpoint(tmp_path / "ckpt")
+        argv = ["predict", "--checkpoint", str(ckpt), "--image",
+                str(dataset_dir / "img_0000.pgm"), "--out", str(tmp_path / "m.pgm")]
+        assert run(*argv) == 0
+        _tamper(ckpt, defect)
+        assert run(*argv) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value,code", [("False", 0), ("True", 1)])
+    def test_config_with_removed_field(self, tmp_path, dataset_dir, value, code):
+        ckpt = tiny_checkpoint(tmp_path / "ckpt")
+        image = str(dataset_dir / "img_0000.pgm")
+        assert run("predict", "--checkpoint", str(ckpt), "--image", image,
+                   "--out", str(tmp_path / "new.pgm")) == 0
+        with open(ckpt / "config.txt", "a") as fh:
+            fh.write(f"literal_decoder_input={value}\n")
+        assert run("predict", "--checkpoint", str(ckpt), "--image", image,
+                   "--out", str(tmp_path / "old.pgm")) == code
+        if code == 0:
+            assert (tmp_path / "old.pgm").read_bytes() == (
+                tmp_path / "new.pgm").read_bytes()
+
+
+# every settable field, with a non-default value and what it should read as
+NON_DEFAULT = {
+    "image_size": ("16", 16), "family": ("multi_lesion", "multi_lesion"),
+    "noise_level": ("0.1", 0.1), "contrast_lo": ("0.2", 0.2),
+    "contrast_hi": ("0.7", 0.7), "num_classes": ("3", 3), "count": ("5", 5),
+    "input_height": ("16", 16), "input_width": ("24", 24),
+    "input_channels": ("3", 3), "base_channels": ("4", 4),
+    "window_size": ("2", 2), "num_heads": ("2", 2), "mlp_ratio": ("2.5", 2.5),
+    "transformer_placement": ("skips", "skips"), "skip_lstm": ("false", False),
+    "skip_sequence_mode": ("paired", "paired"),
+    "max_epochs": ("3", 3), "initial_lr": ("0.01", 0.01),
+    "plateau_patience": ("2", 2), "plateau_factor": ("0.5", 0.5),
+    "early_stop_patience": ("4", 4), "batch_size": ("4", 4), "seed": ("7", 7),
+    "loss_components": ("dice, boundary", ("dice", "boundary")),
+    "val_fraction": ("0.2", 0.2), "min_lr": ("1e-6", 1e-6),
+    "lambda_d": ("0.5", 0.5), "lambda_j": ("0.25", 0.25),
+    "lambda_b_initial": ("2.0", 2.0), "lambda_b_decay": ("0.05", 0.05),
+    "lambda_b_floor": ("0.1", 0.1),
+}
+
+CONFIG_FIELDS = [
+    (cls, f.name)
+    for cls in (D.SynthSpec, M.ModelConfig, TR.TrainConfig, L.LossSchedule)
+    for f in dataclasses.fields(cls)
+    if f.name != "schedule"  # its keys are LossSchedule's fields
+]
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("cls,name", CONFIG_FIELDS,
+                             ids=[f"{c.__name__}.{n}" for c, n in CONFIG_FIELDS])
+    def test_every_field_is_a_key(self, cls, name):
+        text, expected = NON_DEFAULT[name]
+        values = cli._load_kv(None, [f"{name}={text}"])
+        if cls is D.SynthSpec:
+            found = cli._build_synth_spec(values)
+        else:
+            model_cfg, train_cfg = cli._build_configs(values)
+            found = {M.ModelConfig: model_cfg, TR.TrainConfig: train_cfg,
+                     L.LossSchedule: train_cfg.schedule}[cls]
+        assert getattr(found, name) == expected
+        assert getattr(cls(), name) != expected
+
+    def test_schedule_alone_is_unknown(self, tmp_path, dataset_dir):
+        assert run(
+            "train", "--config", str(tiny_train_config(tmp_path)),
+            "--set", "schedule=1", "--data", str(dataset_dir),
+            "--out", str(tmp_path / "x"),
+        ) == 1
+
+    @pytest.mark.parametrize("text,expected", [
+        ("TRUE", True), ("True", True), ("1", True),
+        ("FALSE", False), ("false", False), ("0", False),
+        ("yes", None), ("", None),
+    ])
+    def test_bool_spellings(self, text, expected):
+        code = run("complexity", "--set", f"skip_lstm={text}")
+        assert code == (1 if expected is None else 0)
+        if expected is not None:
+            model_cfg, _ = cli._build_configs(
+                cli._load_kv(None, [f"skip_lstm={text}"]))
+            assert model_cfg.skip_lstm is expected
 
 
 class TestGradcheckVerb:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hybridseg import blocks as B
+from hybridseg import losses as L
 from hybridseg import model as M
 from hybridseg import tensor as T
 from hybridseg.tensor import FormatError, ShapeError, Tensor, grad_check
@@ -156,12 +157,17 @@ class TestForward:
         out = M.forward(params, Tensor(rng.uniform(0, 1, (1, 1, 16, 16))))
         assert out.shape == (1, 1, 16, 16)
 
-    def test_literal_decoder_variant_fails_shape_invariant(self):
-        cfg = tiny_config(literal_decoder_input=True)
-        params = M.build(cfg, seed=7)
-        rng = np.random.default_rng(7)
-        with pytest.raises(ShapeError):
-            M.forward(params, Tensor(rng.uniform(0, 1, (1, 1, 16, 16))))
+    def test_labels_from_probs(self):
+        binary = np.array([[[0.2, 0.5], [0.7, 0.4999]]])
+        assert M.labels_from_probs(binary).tolist() == [[0, 1], [1, 0]]
+        multi = np.random.default_rng(7).dirichlet(np.ones(3), (4, 5)).transpose(
+            2, 0, 1)
+        assert np.array_equal(M.labels_from_probs(multi), multi.argmax(axis=0))
+        batch = np.stack([multi, multi[::-1]])
+        assert np.array_equal(
+            M.labels_from_probs(batch),
+            np.stack([M.labels_from_probs(p) for p in batch]),
+        )
 
 
 class TestGradients:
@@ -253,6 +259,40 @@ class TestCounters:
         analytic -= M.count_flops(cfg)
         assert len(executed) == len(cfg.skip_channels())
         assert sum(executed) == analytic
+
+    @pytest.mark.parametrize("skip_lstm", [True, False])
+    @pytest.mark.parametrize("mode", ["single", "paired"])
+    @pytest.mark.parametrize("placement", M.PLACEMENTS)
+    @pytest.mark.parametrize("size", [16, 24])
+    def test_flops_match_executed(self, monkeypatch, size, placement, mode,
+                                  skip_lstm):
+        # at 24x24 the 3x3 bottleneck runs its attention on a padded 4x4 grid
+        cfg = tiny_config(input_height=size, input_width=size,
+                          transformer_placement=placement,
+                          skip_sequence_mode=mode, skip_lstm=skip_lstm)
+        executed = []
+        conv2d, matmul, conv_transpose2d = T.conv2d, T.matmul, T.conv_transpose2d
+
+        def counting_conv2d(x, wt, padding=0, groups=1):
+            out = conv2d(x, wt, padding=padding, groups=groups)
+            executed.append(2 * out.size * int(np.prod(wt.shape[1:])))
+            return out
+
+        def counting_matmul(a, b):
+            out = matmul(a, b)
+            executed.append(2 * out.size * a.shape[-1])
+            return out
+
+        def counting_conv_transpose2d(x, wt):
+            out = conv_transpose2d(x, wt)
+            executed.append(2 * out.size * x.shape[1])
+            return out
+
+        monkeypatch.setattr(T, "conv2d", counting_conv2d)
+        monkeypatch.setattr(T, "matmul", counting_matmul)
+        monkeypatch.setattr(T, "conv_transpose2d", counting_conv_transpose2d)
+        M.forward(M.build(cfg, 0), Tensor(np.zeros((1, 1, size, size))))
+        assert sum(executed) == M.count_flops(cfg)
 
     @pytest.mark.parametrize("mode", ["single", "paired"])
     def test_training_step_convolves_no_all_zero_input(self, monkeypatch, mode):
@@ -359,3 +399,16 @@ class TestConfigText:
     def test_unknown_key(self):
         with pytest.raises(ValueError):
             M.config_from_text("depth=4\n")
+
+    def test_config_from_kv_leaves_unknown_keys(self):
+        values = {"lambda_d": "0.5", "max_epochs": "3", "depth": "4"}
+        sched = M.config_from_kv(L.LossSchedule, values)
+        assert sched.lambda_d == 0.5 and values == {"max_epochs": "3", "depth": "4"}
+
+    def test_removed_field_loads_only_when_false(self):
+        text = M.config_to_text(tiny_config())
+        assert "literal_decoder_input" not in text
+        old = text + "literal_decoder_input=False\n"
+        assert M.config_from_text(old) == tiny_config()
+        with pytest.raises(ValueError, match="literal_decoder_input"):
+            M.config_from_text(text + "literal_decoder_input=True\n")
