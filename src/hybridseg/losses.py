@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .metrics import sq_distance_to
 from .tensor import ShapeError, Tensor
 
 
@@ -135,21 +136,7 @@ def level_set(g):
     if fg_count == 0 or fg_count == g.size:
         raise ValueError("level_set mask must contain foreground and background")
 
-    boundary = np.argwhere(boundary_pixels(g))
-    h, w = g.shape
-    ys, xs = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    pix = np.stack([ys.reshape(-1), xs.reshape(-1)], axis=1)
-
-    dist = np.empty(pix.shape[0])
-    chunk = 4096
-    for lo in range(0, pix.shape[0], chunk):
-        block = pix[lo : lo + chunk]
-        d2 = (
-            (block[:, None, 0] - boundary[None, :, 0]) ** 2
-            + (block[:, None, 1] - boundary[None, :, 1]) ** 2
-        )
-        dist[lo : lo + block.shape[0]] = np.sqrt(d2.min(axis=1))
-    dist = dist.reshape(h, w)
+    dist = np.sqrt(sq_distance_to(boundary_pixels(g)))
     return LevelSetMap(np.where(g > 0.5, -dist, dist))
 
 

@@ -63,27 +63,55 @@ def seg_metrics(c):
     }
 
 
-def _directed_hausdorff(a_pts, b_pts):
-    worst = 0.0
-    chunk = 2048
-    for lo in range(0, a_pts.shape[0], chunk):
-        block = a_pts[lo : lo + chunk]
-        d2 = (
-            (block[:, None, 0] - b_pts[None, :, 0]) ** 2
-            + (block[:, None, 1] - b_pts[None, :, 1]) ** 2
-        )
-        worst = max(worst, float(d2.min(axis=1).max()))
-    return math.sqrt(worst)
+# elements of int64 scratch per row-pass chunk (2 MB)
+_EDT_CHUNK = 1 << 18
+
+
+def sq_distance_to(mask):
+    """Exact squared Euclidean distance (int64) from every pixel of a 2-D
+    mask to its nearest True pixel; the mask needs at least one.
+
+    Separable, as in Felzenszwalb & Huttenlocher: a column pass finds the
+    row gap to the nearest True pixel in the same column, then a row pass
+    takes min over columns l of gap[i, l]^2 + (j - l)^2. The row pass runs
+    along the shorter side, in chunks of rows that keep its scratch at
+    O(H*W) elements, so time is O(H*W*min(H, W)).
+    """
+    mask = np.asarray(mask, dtype=bool)
+    if mask.ndim != 2:
+        raise ShapeError(f"distance transform expects a 2-D mask, got {mask.shape}")
+    if not mask.any():
+        raise ValueError("distance transform requires a non-empty mask")
+    if mask.shape[1] > mask.shape[0]:
+        return np.ascontiguousarray(sq_distance_to(mask.T).T)
+    h, w = mask.shape
+    # a column with no True pixel gets a gap of at least h + w, whose square
+    # exceeds every real squared distance, so it never wins the row pass
+    far = h + w
+    rows = np.arange(h)[:, None]
+    above = np.maximum.accumulate(np.where(mask, rows, -far), axis=0)
+    below = np.minimum.accumulate(np.where(mask, rows, h + far)[::-1], axis=0)[::-1]
+    gap2 = np.minimum(rows - above, below - rows) ** 2
+    cols = np.arange(w)
+    shift2 = (cols[:, None] - cols[None, :]) ** 2  # (j, l) -> (j - l)^2
+    out = np.empty((h, w), dtype=np.int64)
+    step = max(1, _EDT_CHUNK // (w * w))
+    for lo in range(0, h, step):
+        out[lo : lo + step] = (gap2[lo : lo + step, None, :] + shift2).min(axis=2)
+    return out
 
 
 def hausdorff(a, b):
     """Max over both directions of the farthest nearest-neighbor Euclidean
     distance between the foreground pixel sets of two binary masks."""
-    a_pts = np.argwhere(np.asarray(a).astype(bool))
-    b_pts = np.argwhere(np.asarray(b).astype(bool))
-    if a_pts.size == 0 or b_pts.size == 0:
+    a = np.asarray(a, dtype=bool)
+    b = np.asarray(b, dtype=bool)
+    if a.shape != b.shape:
+        raise ShapeError(f"hausdorff masks differ in shape: {a.shape} vs {b.shape}")
+    if not a.any() or not b.any():
         raise ValueError("hausdorff requires non-empty masks")
-    return max(_directed_hausdorff(a_pts, b_pts), _directed_hausdorff(b_pts, a_pts))
+    worst = max(sq_distance_to(b)[a].max(), sq_distance_to(a)[b].max())
+    return math.sqrt(worst)
 
 
 # ---------------------------------------------------------------------------

@@ -434,7 +434,8 @@ def load_checkpoint_tensors(directory):
 def load_checkpoint(directory):
     """Rebuild ModelParams from a checkpoint directory, bitwise faithful."""
     directory = Path(directory)
-    cfg = config_from_text((directory / "config.txt").read_text())
+    config_path = directory / "config.txt"
+    cfg = config_from_text(config_path.read_text(), source=str(config_path))
     params = build(cfg, seed=0)
     stored = load_checkpoint_tensors(directory)
     flat = params.flat()
@@ -486,7 +487,8 @@ def config_to_text(cfg):
 
 
 def parse_kv(text, source="<config>"):
-    """{key: value} strings from key=value lines; '#' starts a comment."""
+    """{key: value} strings from key=value lines; '#' starts a comment. A
+    key may appear once."""
     values = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -495,6 +497,8 @@ def parse_kv(text, source="<config>"):
         if "=" not in line:
             raise ValueError(f"{source}: malformed line {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
+        if key in values:
+            raise ValueError(f"{source}: key {key!r} given twice")
         values[key] = val
     return values
 
@@ -529,8 +533,8 @@ def config_from_kv(cls, values):
     return cls(**kwargs)
 
 
-def config_from_text(text, overrides=None):
-    values = {**parse_kv(text), **(overrides or {})}
+def config_from_text(text, overrides=None, source="<config>"):
+    values = {**parse_kv(text, source), **(overrides or {})}
     # config.txt files written before this field was removed all carry it
     if values.pop("literal_decoder_input", "false").lower() not in ("false", "0"):
         raise ValueError("literal_decoder_input was removed; only False loads")

@@ -168,6 +168,20 @@ class TestDatasetMeta:
         assert run(verb, "--data", str(dataset_dir), *argv) == 2
         assert "must be an integer >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", ["train", "eval"])
+    def test_repeated_key_fails_validation(self, tmp_path, dataset_dir, capsys,
+                                           verb):
+        meta = dataset_dir / "dataset.txt"
+        meta.write_text("count=10\nnum_classes=1\ncount=4\n")
+        if verb == "train":
+            argv = ["--config", str(tiny_train_config(tmp_path)),
+                    "--out", str(tmp_path / "run")]
+        else:
+            argv = ["--checkpoint", str(tiny_checkpoint(tmp_path / "ckpt")),
+                    "--report", str(tmp_path / "report.csv")]
+        assert run(verb, "--data", str(dataset_dir), *argv) == 1
+        assert f"{meta}: key 'count' given twice" in capsys.readouterr().err
+
 
 def _tamper(ckpt, defect):
     lines = (ckpt / "manifest.txt").read_text().splitlines()
@@ -222,6 +236,16 @@ class TestCheckpointFormat:
         if code == 0:
             assert (tmp_path / "old.pgm").read_bytes() == (
                 tmp_path / "new.pgm").read_bytes()
+
+    def test_config_with_repeated_key(self, tmp_path, dataset_dir, capsys):
+        ckpt = tiny_checkpoint(tmp_path / "ckpt")
+        with open(ckpt / "config.txt", "a") as fh:
+            fh.write("skip_lstm=False\n")
+        assert run("predict", "--checkpoint", str(ckpt), "--image",
+                   str(dataset_dir / "img_0000.pgm"),
+                   "--out", str(tmp_path / "m.pgm")) == 1
+        err = capsys.readouterr().err
+        assert f"{ckpt / 'config.txt'}: key 'skip_lstm' given twice" in err
 
 
 # every settable field, with a non-default value and what it should read as
@@ -286,6 +310,34 @@ class TestConfigKeys:
             model_cfg, _ = cli._build_configs(
                 cli._load_kv(None, [f"skip_lstm={text}"]))
             assert model_cfg.skip_lstm is expected
+
+    @pytest.mark.parametrize("verb,key", [("complexity", "skip_lstm"),
+                                          ("synth", "count")])
+    def test_repeated_key_in_file_fails_validation(self, tmp_path, capsys,
+                                                   verb, key):
+        path = tmp_path / "values.txt"
+        path.write_text(f"{key}=1\n# again\n{key}=0\n")
+        argv = {"complexity": ["--config", str(path)],
+                "synth": ["--spec", str(path), "--out", str(tmp_path / "d")]}
+        assert run(verb, *argv[verb]) == 1
+        assert f"{path}: key '{key}' given twice" in capsys.readouterr().err
+
+    def test_set_overrides_file_value(self, tmp_path, capsys):
+        small = ["input_height=16", "input_width=16", "base_channels=2",
+                 "num_heads=2", "window_size=2"]
+        path = tmp_path / "model.cfg"
+        path.write_text("\n".join(small + ["skip_lstm=false"]) + "\n")
+        sets = [arg for kv in small for arg in ("--set", kv)]
+        outputs = {}
+        for name, argv in {
+            "file": ["--config", str(path)],
+            "file_then_set": ["--config", str(path), "--set", "skip_lstm=true"],
+            "set_only": sets + ["--set", "skip_lstm=true"],
+        }.items():
+            assert run("complexity", *argv) == 0
+            outputs[name] = capsys.readouterr().out
+        assert outputs["file_then_set"] == outputs["set_only"]
+        assert outputs["file_then_set"] != outputs["file"]
 
 
 class TestGradcheckVerb:
