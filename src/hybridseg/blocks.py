@@ -202,21 +202,24 @@ def conv_lstm_step(x, state, p):
 
     state=None stands for the all-zero initial state. Its h- and c-stream
     convolutions and the forget-gate term f * c_prev are exactly zero, so
-    they are not computed: outputs equal those of a zero_state step, and the
-    h-kernels, cell peepholes and forget-gate bias get no gradient (None)
-    from the step.
+    they are not computed, nor is the forget gate itself: outputs equal those
+    of a zero_state step, and the h-kernels, cell peepholes and the forget
+    gate's x-kernel and bias get no gradient (None) from the step.
     """
     hid = p.hidden_channels
+
+    if state is None:
+        from_x = _conv_same(x, T.concat([p.w_x_i, p.w_x_o, p.w_x_c], 0))
+        i = T.sigmoid(T.narrow(from_x, 1, 0, hid) + _per_channel(p.b_i))
+        c_new = i * T.tanh(T.narrow(from_x, 1, 2 * hid, hid) + _per_channel(p.b_c))
+        o = T.sigmoid(T.narrow(from_x, 1, hid, hid)
+                      + _per_channel(p.w_c_o) * c_new + _per_channel(p.b_o))
+        return ConvLSTMState(hidden=o * T.tanh(c_new), cell=c_new)
+
     from_x = _conv_same(x, T.concat([p.w_x_i, p.w_x_f, p.w_x_o, p.w_x_c], 0))
 
     def gate(k):
         return T.narrow(from_x, 1, k * hid, hid)
-
-    if state is None:
-        i = T.sigmoid(gate(0) + _per_channel(p.b_i))
-        c_new = i * T.tanh(gate(3) + _per_channel(p.b_c))
-        o = T.sigmoid(gate(2) + _per_channel(p.w_c_o) * c_new + _per_channel(p.b_o))
-        return ConvLSTMState(hidden=o * T.tanh(c_new), cell=c_new)
 
     if x.shape[-2:] != state.hidden.shape[-2:] or x.shape[0] != state.hidden.shape[0]:
         raise ShapeError(
@@ -413,55 +416,6 @@ def init_swin_pair(rng, embed_dim, window_size, num_heads, mlp_ratio=4):
     )
 
 
-_MASK_CACHE = {}
-
-
-def _shift_attention_mask(height, width, n, shift):
-    """Additive mask (num_windows, n*n, n*n) blocking attention between
-    regions that only became window-mates through the cyclic shift."""
-    key = (height, width, n, shift)
-    if key not in _MASK_CACHE:
-        ids = np.zeros((height, width))
-        region = 0
-        for hs in (slice(0, height - n), slice(height - n, height - shift),
-                   slice(height - shift, height)):
-            for ws in (slice(0, width - n), slice(width - n, width - shift),
-                       slice(width - shift, width)):
-                ids[hs, ws] = region
-                region += 1
-        wins = (
-            ids.reshape(height // n, n, width // n, n)
-            .transpose(0, 2, 1, 3)
-            .reshape(-1, n * n)
-        )
-        diff = wins[:, :, None] - wins[:, None, :]
-        _MASK_CACHE[key] = np.where(diff != 0.0, -1e9, 0.0)
-    return _MASK_CACHE[key]
-
-
-def _window_partition(x, n):
-    """(B, C, H, W) -> tokens (B*num_windows, n*n, C)."""
-    b, c, h, w = x.shape
-    t = T.reshape(x, (b, c, h // n, n, w // n, n))
-    t = T.transpose(t, (0, 2, 4, 3, 5, 1))
-    return T.reshape(t, (b * (h // n) * (w // n), n * n, c))
-
-
-def _window_merge(tokens, b, c, h, w, n):
-    t = T.reshape(tokens, (b, h // n, w // n, n, n, c))
-    t = T.transpose(t, (0, 5, 1, 3, 2, 4))
-    return T.reshape(t, (b, c, h, w))
-
-
-def _tokens_linear(tokens, w, bias=None):
-    b, t, d = tokens.shape
-    flat = T.reshape(tokens, (b * t, d))
-    out = T.matmul(flat, w)
-    if bias is not None:
-        out = out + T.reshape(bias, (1, bias.shape[0]))
-    return T.reshape(out, (b, t, w.shape[1]))
-
-
 def window_attention(x, p, shifted):
     """Multi-head self-attention within non-overlapping windows.
 
@@ -476,46 +430,10 @@ def window_attention(x, p, shifted):
         raise ShapeError(f"channels {c} do not match embed dim {p.embed_dim}")
     if height % n or width % n:
         raise ShapeError(f"spatial extents {(height, width)} not multiples of {n}")
-    heads = p.num_heads
-    hd = c // heads
-    attn_p = p.attn2 if shifted else p.attn1
-    shift = p.shift
-
-    if shifted and shift:
-        x = T.roll2d(x, (-shift, -shift))
-
-    tokens = _window_partition(x, n)  # (B*nw, T, C)
-    bw, tcount, _ = tokens.shape
-    qkv = _tokens_linear(tokens, attn_p.qkv_w)
-
-    def heads_of(part):
-        t = T.reshape(part, (bw, tcount, heads, hd))
-        return T.reshape(T.transpose(t, (0, 2, 1, 3)), (bw * heads, tcount, hd))
-
-    q = heads_of(T.narrow(qkv, 2, 0, c) + T.reshape(attn_p.q_bias, (1, 1, c)))
-    k = heads_of(T.narrow(qkv, 2, c, c))
-    v = heads_of(T.narrow(qkv, 2, 2 * c, c) + T.reshape(attn_p.v_bias, (1, 1, c)))
-
-    scores = T.matmul(q, T.transpose(k, (0, 2, 1))) * (1.0 / math.sqrt(hd))
-    if shifted and shift:
-        nw = (height // n) * (width // n)
-        mask = Tensor(
-            _shift_attention_mask(height, width, n, shift)
-            .reshape(1, nw, 1, tcount, tcount)
-        )
-        scores = T.reshape(scores, (b, nw, heads, tcount, tcount)) + mask
-        scores = T.reshape(scores, (bw * heads, tcount, tcount))
-    att = T.softmax(scores, axis=2)
-    ctx = T.matmul(att, v)  # (BW*heads, T, hd)
-
-    ctx = T.reshape(ctx, (bw, heads, tcount, hd))
-    ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (bw, tcount, c))
-    out = _tokens_linear(ctx, attn_p.proj_w, attn_p.proj_b)
-    out = _window_merge(out, b, c, height, width, n)
-
-    if shifted and shift:
-        out = T.roll2d(out, (shift, shift))
-    return out
+    ap = p.attn2 if shifted else p.attn1
+    return T.window_attention(x, ap.qkv_w, ap.q_bias, ap.v_bias, ap.proj_w,
+                              ap.proj_b, n, p.num_heads,
+                              p.shift if shifted else 0)
 
 
 def _layer_norm(x, p):

@@ -1,9 +1,10 @@
-"""Training losses: region overlap (dice, jaccard-with-box), signed-distance
-boundary loss, and their weighted composite with a per-epoch decay schedule.
+"""Training loss: one batched weighted composite of region overlap (dice,
+jaccard-with-box) and signed-distance boundary terms, with a per-epoch decay
+schedule for the boundary weight.
 
-All losses return scalar Tensors and are differentiable in the prediction S.
-Level-set maps are plain arrays computed once per ground-truth mask; callers
-should cache them across epochs.
+The loss is a scalar Tensor, differentiable in the prediction S. Level-set
+maps are plain arrays computed once per ground-truth mask; callers should
+cache them across epochs.
 """
 
 from __future__ import annotations
@@ -46,26 +47,6 @@ def _check_prob_mask(s, g):
         raise ValueError("ground truth must be binary")
 
 
-def dice_loss(s, g, class_weights=None, xi=1e-6):
-    """Overlap loss over one (H, W) plane or a (C, H, W) per-class stack.
-
-    Classes with an empty prediction and empty mask make the ratio undefined
-    and surface as a NonFiniteError.
-    """
-    _check_prob_mask(s, g)
-    if s.ndim == 2:
-        s = T.reshape(s, (1,) + s.shape)
-        g = T.reshape(g, (1,) + g.shape)
-    c = s.shape[0]
-    w = np.ones(c) if class_weights is None else np.asarray(class_weights, float)
-    if w.shape != (c,):
-        raise ShapeError(f"need {c} class weights, got {w.shape}")
-    inter = T.tsum(s * g, axes=[1, 2])
-    denom = T.tsum(s * s, axes=[1, 2]) + T.tsum(g * g, axes=[1, 2])
-    per_class = (2.0 * Tensor(w)) * inter / denom
-    return 1.0 - T.tsum(per_class) + xi
-
-
 def _union_bbox(s, g):
     """Tight box covering the union of the mask and the prediction >= 0.5."""
     union = (g >= 0.5) | (s >= 0.5)
@@ -74,30 +55,6 @@ def _union_bbox(s, g):
     rows = np.flatnonzero(union.any(axis=1))
     cols = np.flatnonzero(union.any(axis=0))
     return rows[0], rows[-1] + 1, cols[0], cols[-1] + 1
-
-
-def jaccard_loss(s, g, xi=1e-6):
-    """Soft IoU loss with a bounding-box tightness term.
-
-    The box term subtracts the fraction of the union's bounding box not
-    covered by the soft union; as written it rewards masks that fill their
-    box and can push the loss below xi for compact shapes in a loose box.
-    """
-    if s.ndim == 3 and s.shape[0] == 1:
-        s = T.reshape(s, s.shape[1:])
-        g = T.reshape(g, g.shape[1:])
-    _check_prob_mask(s, g)
-    if s.ndim != 2:
-        raise ShapeError("jaccard_loss operates on a single 2-D mask pair")
-    inter = T.tsum(s * g)
-    union_mass = T.tsum(s) + T.tsum(g) - inter
-    iou = inter / union_mass
-    r0, r1, c0, c1 = _union_bbox(s.data, g.data)
-    soft_union = s + g - s * g
-    box = T.narrow(T.narrow(soft_union, 0, r0, r1 - r0), 1, c0, c1 - c0)
-    box_area = float((r1 - r0) * (c1 - c0))
-    box_term = (box_area - T.tsum(box)) / box_area
-    return 1.0 - iou - box_term + xi
 
 
 @dataclass
@@ -140,18 +97,6 @@ def level_set(g):
     return LevelSetMap(np.where(g > 0.5, -dist, dist))
 
 
-def boundary_loss(s, levelset):
-    """Mean over pixels of signed distance times predicted probability.
-
-    Negative inside the mask: moving predicted mass inward strictly lowers
-    the loss, scaled by how far the mass sits from the boundary.
-    """
-    values = levelset.values
-    if s.shape != values.shape:
-        raise ShapeError(f"prediction {s.shape} vs level-set {values.shape}")
-    return T.tmean(Tensor(values) * s)
-
-
 _COMPONENTS = ("dice", "jaccard", "boundary")
 
 
@@ -161,8 +106,7 @@ def composite_loss(s, g, schedule, epoch, components=_COMPONENTS,
     the mean over a batch of (C, H, W) prediction/target stacks.
 
     s and g are (B, C, H, W); g is binary (one-hot when C > 1). Dice sums
-    the overlap ratios of all C planes, background included, as dice_loss
-    does on one sample: with C > 1 it lies between 1 - C and 1 (plus xi), so
+    the overlap ratios of all C planes, background included: with C > 1 it lies between 1 - C and 1 (plus xi), so
     it reads below zero once the overlaps sum past one. Jaccard and boundary
     run over the foreground planes (plane 0 when C == 1, planes 1..C-1
     otherwise) and are averaged over planes and samples; bounding boxes are

