@@ -151,10 +151,6 @@ class ConvLSTMParams:
     w_h_c: Tensor
     b_c: Tensor
 
-    @property
-    def hidden_channels(self):
-        return self.w_h_i.shape[0]
-
 
 @dataclass
 class ConvLSTMState:
@@ -190,15 +186,12 @@ def init_conv_lstm(rng, in_ch, hidden, k=3):
 
 
 def conv_lstm_step(x, state, p):
-    """One ConvLSTM update.
+    """One ConvLSTM update, one tape entry (tensor.conv_lstm_step).
 
     Gate order: input and forget gates first (conv peepholes on the previous
     cell), then the cell update, then the output gate (Hadamard peephole on
-    the new cell), then the hidden state.
-
-    The per-stream convolutions are fused: the four x-kernels (and the four
-    h-kernels, and the two cell peepholes) run as one grouped convolution so
-    the patch gather happens once per input stream.
+    the new cell), then the hidden state. Each input stream's kernels run as
+    one convolution, so the patch gather happens once per stream.
 
     state=None stands for the all-zero initial state. Its h- and c-stream
     convolutions and the forget-gate term f * c_prev are exactly zero, so
@@ -206,39 +199,19 @@ def conv_lstm_step(x, state, p):
     of a zero_state step, and the h-kernels, cell peepholes and the forget
     gate's x-kernel and bias get no gradient (None) from the step.
     """
-    hid = p.hidden_channels
-
-    if state is None:
-        from_x = _conv_same(x, T.concat([p.w_x_i, p.w_x_o, p.w_x_c], 0))
-        i = T.sigmoid(T.narrow(from_x, 1, 0, hid) + _per_channel(p.b_i))
-        c_new = i * T.tanh(T.narrow(from_x, 1, 2 * hid, hid) + _per_channel(p.b_c))
-        o = T.sigmoid(T.narrow(from_x, 1, hid, hid)
-                      + _per_channel(p.w_c_o) * c_new + _per_channel(p.b_o))
-        return ConvLSTMState(hidden=o * T.tanh(c_new), cell=c_new)
-
-    from_x = _conv_same(x, T.concat([p.w_x_i, p.w_x_f, p.w_x_o, p.w_x_c], 0))
-
-    def gate(k):
-        return T.narrow(from_x, 1, k * hid, hid)
-
-    if x.shape[-2:] != state.hidden.shape[-2:] or x.shape[0] != state.hidden.shape[0]:
-        raise ShapeError(
-            f"input {x.shape} does not match state {state.hidden.shape}"
-        )
-    h_prev, c_prev = state.hidden, state.cell
-    from_h = _conv_same(
-        h_prev, T.concat([p.w_h_i, p.w_h_f, p.w_h_o, p.w_h_c], 0)
+    h = c = None
+    if state is not None:
+        h, c = state.hidden, state.cell
+        if x.shape[-2:] != h.shape[-2:] or x.shape[0] != h.shape[0]:
+            raise ShapeError(f"input {x.shape} does not match state {h.shape}")
+    hidden, cell = T.conv_lstm_step(
+        x, h, c,
+        [p.w_x_i, p.w_x_f, p.w_x_o, p.w_x_c],
+        [p.w_h_i, p.w_h_f, p.w_h_o, p.w_h_c],
+        [p.w_c_i, p.w_c_f], p.w_c_o,
+        [p.b_i, p.b_f, p.b_o, p.b_c],
     )
-    from_c = _conv_same(c_prev, T.concat([p.w_c_i, p.w_c_f], 0))
-
-    def gate_h(k):
-        return gate(k) + T.narrow(from_h, 1, k * hid, hid)
-
-    i = T.sigmoid(gate_h(0) + T.narrow(from_c, 1, 0, hid) + _per_channel(p.b_i))
-    f = T.sigmoid(gate_h(1) + T.narrow(from_c, 1, hid, hid) + _per_channel(p.b_f))
-    c_new = f * c_prev + i * T.tanh(gate_h(3) + _per_channel(p.b_c))
-    o = T.sigmoid(gate_h(2) + _per_channel(p.w_c_o) * c_new + _per_channel(p.b_o))
-    return ConvLSTMState(hidden=o * T.tanh(c_new), cell=c_new)
+    return ConvLSTMState(hidden=hidden, cell=cell)
 
 
 @dataclass

@@ -214,7 +214,13 @@ def gradcheck_blocks():
         st = B.conv_lstm_step(xl, B.zero_state(1, 2, 3, 3), p_lstm)
         return T.tmean(st.hidden * st.hidden) + T.tmean(T.tanh(st.cell))
 
+    def f_lazy(*_):
+        st = B.conv_lstm_step(xl, None, p_lstm)
+        return T.tmean(st.hidden * st.hidden) + T.tmean(T.tanh(st.cell))
+
     _check("conv_lstm_step", f_step, leaves, results)
+    # state=None, the zero-state shortcut that every first step takes
+    _check("conv_lstm_step_lazy", f_lazy, leaves, results)
 
     p_bi = B.init_bconv_lstm(rng, 1, 1)
     xb = Tensor(rng.uniform(-1, 1, (1, 1, 2, 2)), requires_grad=True)

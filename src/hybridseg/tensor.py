@@ -137,10 +137,11 @@ def _lift(x):
 class Tape:
     """Ordered record of operations for one forward/backward episode.
 
-    Entries are (output tensor, input tensors, backward rule) appended in
-    execution order. ``kink_tol`` > 0 arms kink detection: relu and max ops
-    count evaluations that land within the tolerance of a nondifferentiable
-    point (used by grad_check to flag excluded points).
+    Entries are (output tensors, input tensors, backward rule) appended in
+    execution order; most ops have one output, conv_lstm_step has two.
+    ``kink_tol`` > 0 arms kink detection: relu and max ops count evaluations
+    that land within the tolerance of a nondifferentiable point (used by
+    grad_check to flag excluded points).
     """
 
     def __init__(self):
@@ -172,15 +173,28 @@ def active_tape():
     return _TAPE
 
 
-def _register(out, inputs, backward_fn):
-    """Record an op if a tape is active and any input wants gradients."""
+def _recording(inputs):
+    """Whether _register will record an op on these inputs."""
     tape = _TAPE
-    if tape is not None and any(t.requires_grad for t in inputs):
+    return tape is not None and any(t.requires_grad for t in inputs)
+
+
+def _register(out, inputs, backward_fn):
+    """Record an op if a tape is active and any input wants gradients.
+
+    out is the op's output tensor, or a tuple of them for an op with several
+    outputs. backward_fn takes one gradient per output (None for an output no
+    gradient reached) and returns one per input (None where not needed).
+    """
+    tape = _TAPE
+    if _recording(inputs):
         if tape.consumed:
             raise TapeError("tape already consumed by backward")
-        out.requires_grad = True
-        tape.ops.append((out, inputs, backward_fn))
-        tape._produced.add(out.node_id)
+        outs = out if isinstance(out, tuple) else (out,)
+        for o in outs:
+            o.requires_grad = True
+            tape._produced.add(o.node_id)
+        tape.ops.append((outs, inputs, backward_fn))
     return out
 
 
@@ -287,10 +301,13 @@ def relu(a):
     return _register(out, [a], bw)
 
 
-def sigmoid(a):
-    x = a.data
+def _sigmoid(x):
     z = np.exp(-np.abs(x))  # never overflows
-    y = np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+
+
+def sigmoid(a):
+    y = _sigmoid(a.data)
     out = Tensor(y)
 
     def bw(g):
@@ -588,8 +605,8 @@ def conv2d(x, w, padding=0, groups=1):
 
         return _register(out, [x, w], bw)
 
-    xp = np.pad(xd, ((0, 0), (0, 0), (p, p), (p, p))) if p else xd
     if depthwise:
+        xp = np.pad(xd, ((0, 0), (0, 0), (p, p), (p, p))) if p else xd
         # per-tap multiply-add beats materializing the patch tensor
         ho, wo = h + 2 * p - kh + 1, wth + 2 * p - kw + 1
         y = np.zeros((b, cin, ho, wo))
@@ -620,33 +637,55 @@ def conv2d(x, w, padding=0, groups=1):
 
         return _register(out, [x, w], bw)
 
-    # dense: one (B*Ho*Wo, Cin*kh*kw) patch matrix, kept for the weight
-    # gradient; the input gradient is a GEMM followed by a kh*kw-slice col2im
-    ho, wo = h + 2 * p - kh + 1, wth + 2 * p - kw + 1
-    patches = _window_view(xp, kh, kw).transpose(0, 4, 5, 1, 2, 3)
-    patches = patches.reshape(b * ho * wo, cin * kh * kw)
-    w2 = wd.reshape(cout, cin * kh * kw)
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = (patches @ w2.T).reshape(b, ho, wo, cout)
-    out = Tensor(np.ascontiguousarray(y.transpose(0, 3, 1, 2)))
+    y, patches = _dense_conv(xd, wd, p)
+    out = Tensor(y)
 
     def bw(g):
-        gx = gw = None
-        g2 = g.transpose(0, 2, 3, 1).reshape(b * ho * wo, cout)
-        if need_x:
-            gcols = (g2 @ w2).reshape(b, ho, wo, cin, kh, kw)
-            gxp = np.zeros((b, h + 2 * p, wth + 2 * p, cin))  # channels last
-            for ki in range(kh):
-                for kj in range(kw):
-                    gxp[:, ki : ki + ho, kj : kj + wo] += gcols[..., ki, kj]
-            gx = np.ascontiguousarray(
-                gxp[:, p : p + h, p : p + wth].transpose(0, 3, 1, 2)
-            )
-        if need_w:
-            gw = (g2.T @ patches).reshape(wd.shape)
-        return gx, gw
+        return _dense_conv_grads(g, patches, (b, cin, h, wth), wd, p, need_x,
+                                 need_w)
 
     return _register(out, [x, w], bw)
+
+
+def _dense_conv(xd, wd, p):
+    """Dense kh x kw cross-correlation of NCHW array xd with zero padding p.
+
+    One GEMM on the (B*Ho*Wo, Cin*kh*kw) patch matrix, which is returned with
+    the (B, Cout, Ho, Wo) output: _dense_conv_grads needs it for the kernel
+    gradient. Overflow is left to the caller's finiteness check.
+    """
+    b, cin, h, w = xd.shape
+    cout, _, kh, kw = wd.shape
+    xp = np.pad(xd, ((0, 0), (0, 0), (p, p), (p, p))) if p else xd
+    ho, wo = h + 2 * p - kh + 1, w + 2 * p - kw + 1
+    patches = _window_view(xp, kh, kw).transpose(0, 4, 5, 1, 2, 3)
+    patches = patches.reshape(b * ho * wo, cin * kh * kw)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = (patches @ wd.reshape(cout, -1).T).reshape(b, ho, wo, cout)
+    return np.ascontiguousarray(y.transpose(0, 3, 1, 2)), patches
+
+
+def _dense_conv_grads(g, patches, xshape, wd, p, need_x, need_w):
+    """(input, kernel) gradients of _dense_conv from the output gradient g:
+    a GEMM and a kh*kw-slice col2im for the input, a GEMM against the cached
+    patch matrix for the kernel; None where not needed."""
+    b, cin, h, w = xshape
+    cout, _, kh, kw = wd.shape
+    ho, wo = g.shape[2:]
+    g2 = g.transpose(0, 2, 3, 1).reshape(b * ho * wo, cout)
+    gx = gw = None
+    if need_x:
+        gcols = (g2 @ wd.reshape(cout, -1)).reshape(b, ho, wo, cin, kh, kw)
+        gxp = np.zeros((b, h + 2 * p, w + 2 * p, cin))  # channels last
+        for ki in range(kh):
+            for kj in range(kw):
+                gxp[:, ki : ki + ho, kj : kj + wo] += gcols[..., ki, kj]
+        gx = np.ascontiguousarray(
+            gxp[:, p : p + h, p : p + w].transpose(0, 3, 1, 2)
+        )
+    if need_w:
+        gw = (g2.T @ patches).reshape(wd.shape)
+    return gx, gw
 
 
 def conv_transpose2d(x, w):
@@ -831,6 +870,156 @@ def window_attention(x, qkv_w, q_bias, v_bias, proj_w, proj_b, n, heads, shift):
 
 
 # ---------------------------------------------------------------------------
+# convolutional LSTM step
+
+
+def conv_lstm_step(x, h, c, w_x, w_h, w_c, w_c_o, b):
+    """One ConvLSTM update as one tape entry with two outputs (h_new, c_new).
+
+    x: (B, Cin, H, W). h, c: the (B, hid, H, W) hidden state and memory
+    cell, or both None for the all-zero state. w_x and w_h: the (hid, Cin,
+    k, k) and (hid, hid, k, k) kernels of the input, forget, output and
+    candidate gates, in that order; w_c: the input and forget gates' k x k
+    peepholes on c; w_c_o: the output gate's (hid,) Hadamard peephole on
+    c_new; b: the four gate biases (hid,). k is odd and every convolution
+    keeps the spatial extent.
+
+        i = sigmoid(x * w_xi + h * w_hi + c * w_ci + b_i)
+        f = sigmoid(x * w_xf + h * w_hf + c * w_cf + b_f)
+        c_new = f c + i tanh(x * w_xc + h * w_hc + b_c)
+        o = sigmoid(x * w_xo + h * w_ho + w_c_o c_new + b_o)
+        h_new = o tanh(c_new)
+
+    From the zero state the h- and c-terms and f c vanish, so neither they
+    nor the forget gate are computed, and w_h, w_c, w_x[1] and b[1] are not
+    inputs of the entry: they get no gradient from it. Each stream's kernels
+    run as one dense convolution. The elementwise steps follow the NumPy
+    order of the same update composed from taped ops, so outputs are bitwise
+    equal to it; the backward is written out from the cached patch matrices
+    and gate activations.
+    """
+    xd = x.data
+    if xd.ndim != 4 or w_c_o.ndim != 1:
+        raise ShapeError("conv_lstm_step expects rank-4 input, (hidden,) peephole")
+    bsz, cin, height, width = xd.shape
+    hid = w_c_o.shape[0]
+    k = w_x[0].shape[-1] if w_x and w_x[0].ndim else 0
+    got = [t.shape for t in (*w_x, *w_h, *w_c, *b)]
+    want = [(hid, cin, k, k)] * 4 + [(hid, hid, k, k)] * 6 + [(hid,)] * 4
+    if k % 2 == 0 or got != want:
+        raise ShapeError(
+            f"conv_lstm_step weights {got} do not match {cin} input and "
+            f"{hid} hidden channels with one odd kernel size"
+        )
+    state = (bsz, hid, height, width)
+    if (h is None) != (c is None) or (h is not None and h.shape != state
+                                      or c is not None and c.shape != state):
+        raise ShapeError(f"conv_lstm_step state does not match {state}")
+
+    pad = (k - 1) // 2
+    bi, bf, bo, bc = (t.data.reshape(1, hid, 1, 1) for t in b)
+    wco = w_c_o.data.reshape(1, hid, 1, 1)
+    x_kernels = list(w_x) if h is not None else [w_x[0], w_x[2], w_x[3]]
+    if h is None:
+        inputs = [x, *x_kernels, w_c_o, b[0], b[2], b[3]]
+    else:
+        inputs = [x, h, c, *w_x, *w_h, *w_c, w_c_o, *b]
+    # when no tape entry is made, the patch matrices are dropped right after
+    # their GEMMs and each intermediate right after its use: held to the
+    # end, they made a tape-free 64x64 step about twice as slow
+    keep = _recording(inputs)
+
+    def squash(fn, pre):
+        # sigmoid(inf) and tanh(inf) are finite: check before squashing
+        _check_finite(pre, "conv_lstm_step")
+        return fn(pre)
+
+    wx = np.concatenate([t.data for t in x_kernels])
+    with np.errstate(over="ignore", invalid="ignore"):
+        fx, px = _dense_conv(xd, wx, pad)
+        px = px if keep else None
+        if h is None:
+            # gate layout of fx: i, o, c
+            i = squash(_sigmoid, fx[:, :hid] + bi)
+            g = squash(np.tanh, fx[:, 2 * hid :] + bc)
+            c_new = i * g
+            pre = fx[:, hid : 2 * hid] + wco * c_new
+        else:
+            # gate layout of fx and fh: i, f, o, c; of fc: i, f
+            wh = np.concatenate([t.data for t in w_h])
+            wc = np.concatenate([t.data for t in w_c])
+            fh, ph = _dense_conv(h.data, wh, pad)
+            fc, pc = _dense_conv(c.data, wc, pad)
+            ph, pc = (ph, pc) if keep else (None, None)
+            pre = fx[:, :hid] + fh[:, :hid]
+            pre += fc[:, :hid]
+            pre += bi
+            i = squash(_sigmoid, pre)
+            pre = fx[:, hid : 2 * hid] + fh[:, hid : 2 * hid]
+            pre += fc[:, hid:]
+            pre += bf
+            f = squash(_sigmoid, pre)
+            pre = fx[:, 3 * hid :] + fh[:, 3 * hid :]
+            pre += bc
+            g = squash(np.tanh, pre)
+            c_new = f * c.data + i * g
+            pre = fx[:, 2 * hid : 3 * hid] + fh[:, 2 * hid : 3 * hid]
+            del fh, fc
+            pre += wco * c_new
+        del fx
+        pre += bo
+        o = squash(_sigmoid, pre)
+        del pre
+        tc = np.tanh(c_new)
+        outs = (Tensor(o * tc), Tensor(c_new))
+
+    def bias_grad(d):
+        return _unbroadcast(d, (1, hid, 1, 1)).reshape(hid)
+
+    def split(gw, parts):
+        return [None] * parts if gw is None else np.split(gw, parts)
+
+    def bw(g_h, g_c):
+        # gate pre-activation gradients in the layout of fx; a slice gets
+        # exactly one contribution, added to zero as the composition's
+        # narrow gradients are
+        dgates = np.zeros((bsz, len(x_kernels) * hid, height, width))
+        dc, dwco, dbo = g_c, None, None
+        if g_h is not None:
+            dt = g_h * o * (1.0 - tc * tc)
+            dc = dt if dc is None else dc + dt
+            dpre_o = g_h * tc * o * (1.0 - o)
+            dwco, dbo = bias_grad(dpre_o * c_new), bias_grad(dpre_o)
+            dc = dc + dpre_o * wco
+            o_at = hid if h is None else 2 * hid
+            dgates[:, o_at : o_at + hid] += dpre_o
+        dpre_c = dc * i * (1.0 - g * g)
+        dpre_i = dc * g * i * (1.0 - i)
+        dgates[:, -hid:] += dpre_c
+        dgates[:, :hid] += dpre_i
+        if h is not None:
+            dpre_f = dc * c.data * f * (1.0 - f)
+            dgates[:, hid : 2 * hid] += dpre_f
+        gx, gwx = _dense_conv_grads(dgates, px, xd.shape, wx, pad,
+                                    x.requires_grad,
+                                    any(t.requires_grad for t in x_kernels))
+        if h is None:
+            return (gx, *split(gwx, 3), dwco, bias_grad(dpre_i), dbo,
+                    bias_grad(dpre_c))
+        gh, gwh = _dense_conv_grads(dgates, ph, state, wh, pad, h.requires_grad,
+                                    any(t.requires_grad for t in w_h))
+        gcp, gwc = _dense_conv_grads(dgates[:, : 2 * hid], pc, state, wc, pad,
+                                     c.requires_grad,
+                                     any(t.requires_grad for t in w_c))
+        if gcp is not None:
+            gcp = dc * f + gcp
+        return (gx, gh, gcp, *split(gwx, 4), *split(gwh, 4), *split(gwc, 2),
+                dwco, bias_grad(dpre_i), bias_grad(dpre_f), dbo, bias_grad(dpre_c))
+
+    return _register(outs, inputs, bw)
+
+
+# ---------------------------------------------------------------------------
 # backward pass and gradient checking
 
 
@@ -850,17 +1039,18 @@ def backward(root):
     if root.node_id not in tape._produced:
         raise TapeError("root is detached from the active tape")
 
-    for out, inputs, _ in tape.ops:
-        out.grad = None
+    for outs, inputs, _ in tape.ops:
+        for t in outs:
+            t.grad = None
         for t in inputs:
             t.grad = None
     root.grad = np.ones_like(root.data)
 
-    for out, inputs, bw in reversed(tape.ops):
-        g = out.grad
-        if g is None:
+    for outs, inputs, bw in reversed(tape.ops):
+        gs = [t.grad for t in outs]
+        if all(g is None for g in gs):
             continue
-        grads = bw(g)
+        grads = bw(*gs)
         for t, gt in zip(inputs, grads):
             if gt is None or not t.requires_grad:
                 continue

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hybridseg import blocks as B
 from hybridseg import model as M
 from hybridseg import tensor as T
-from hybridseg.tensor import ShapeError, Tensor, grad_check
+from hybridseg.tensor import NonFiniteError, ShapeError, Tensor, grad_check
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -62,6 +62,42 @@ def conv_lstm_step_oracle(x, h_prev, c_prev, p):
     o = _sig(cv(x, p.w_x_o.data) + cv(h_prev, p.w_h_o.data)
              + per_ch(p.w_c_o.data) * c_new + per_ch(p.b_o.data))
     return o * np.tanh(c_new), c_new
+
+
+def conv_lstm_step_composed(x, state, p):
+    """A ConvLSTM step as a composition of taped primitives: the reference
+    for T.conv_lstm_step's forward bits and hand-written backward. state=None
+    skips the zero h- and c-streams and the forget gate, as the step does."""
+    hid = p.w_c_o.shape[0]
+
+    def conv_same(a, kernels):
+        w = T.concat(kernels, 0)
+        return T.conv2d(a, w, padding=(w.shape[-1] - 1) // 2)
+
+    def per_ch(v):
+        return T.reshape(v, (1, hid, 1, 1))
+
+    if state is None:
+        from_x = conv_same(x, [p.w_x_i, p.w_x_o, p.w_x_c])
+        i = T.sigmoid(T.narrow(from_x, 1, 0, hid) + per_ch(p.b_i))
+        c_new = i * T.tanh(T.narrow(from_x, 1, 2 * hid, hid) + per_ch(p.b_c))
+        o = T.sigmoid(T.narrow(from_x, 1, hid, hid)
+                      + per_ch(p.w_c_o) * c_new + per_ch(p.b_o))
+        return B.ConvLSTMState(hidden=o * T.tanh(c_new), cell=c_new)
+
+    h_prev, c_prev = state.hidden, state.cell
+    from_x = conv_same(x, [p.w_x_i, p.w_x_f, p.w_x_o, p.w_x_c])
+    from_h = conv_same(h_prev, [p.w_h_i, p.w_h_f, p.w_h_o, p.w_h_c])
+    from_c = conv_same(c_prev, [p.w_c_i, p.w_c_f])
+
+    def gate_h(k):
+        return T.narrow(from_x, 1, k * hid, hid) + T.narrow(from_h, 1, k * hid, hid)
+
+    i = T.sigmoid(gate_h(0) + T.narrow(from_c, 1, 0, hid) + per_ch(p.b_i))
+    f = T.sigmoid(gate_h(1) + T.narrow(from_c, 1, hid, hid) + per_ch(p.b_f))
+    c_new = f * c_prev + i * T.tanh(gate_h(3) + per_ch(p.b_c))
+    o = T.sigmoid(gate_h(2) + per_ch(p.w_c_o) * c_new + per_ch(p.b_o))
+    return B.ConvLSTMState(hidden=o * T.tanh(c_new), cell=c_new)
 
 
 def window_attention_oracle(x, p, shifted):
@@ -405,12 +441,139 @@ class TestConvLSTM:
             assert not eager_grads[k].any(), k
 
 
+def _random_conv_lstm(rng, cin, hidden, k=3):
+    p = B.init_conv_lstm(rng, cin, hidden, k)
+    for bias in (p.b_i, p.b_f, p.b_o, p.b_c):
+        bias.data = rng.uniform(-1, 1, hidden)
+    return p
+
+
+def _step_state(kind, rng, batch, hidden, height, width):
+    if kind == "none":
+        return None
+    if kind == "zero":
+        return B.zero_state(batch, hidden, height, width)
+    h, c = rng.uniform(-1, 1, (2, batch, hidden, height, width))
+    return B.ConvLSTMState(Tensor(h, requires_grad=True),
+                           Tensor(c, requires_grad=True))
+
+
+def _step_grads(fn, xdata, state, p, w_h, w_c):
+    """Outputs and gradients of sum(w_h * hidden) + sum(w_c * cell), with a
+    None weight leaving that output out of the loss."""
+    x = Tensor(xdata, requires_grad=True)
+    leaves = dict(B.params_of(p), x=x)
+    if state is not None:
+        leaves.update(h=state.hidden, c=state.cell)
+    for t in leaves.values():
+        t.grad = None
+    with T.record():
+        st = fn(x, state, p)
+        terms = [T.tsum(out * Tensor(w)) for out, w in
+                 ((st.hidden, w_h), (st.cell, w_c)) if w is not None]
+        T.backward(terms[0] if len(terms) == 1 else terms[0] + terms[1])
+    return st, {k: t.grad for k, t in leaves.items()}
+
+
+class TestConvLSTMPrimitive:
+    @settings(deadline=None, max_examples=60)
+    @given(batch=st.integers(1, 3), cin=st.integers(1, 4),
+           hidden=st.integers(1, 4), height=st.integers(1, 6),
+           width=st.integers(1, 6), k=st.sampled_from([3, 5]),
+           state=st.sampled_from(["none", "zero", "random"]),
+           outputs=st.sampled_from(["both", "hidden", "cell"]),
+           seed=st.integers(0, 2**16))
+    def test_matches_composition(self, batch, cin, hidden, height, width, k,
+                                 state, outputs, seed):
+        rng = np.random.default_rng(seed)
+        p = _random_conv_lstm(rng, cin, hidden, k)
+        xdata = rng.uniform(-1, 1, (batch, cin, height, width))
+        s0 = _step_state(state, rng, batch, hidden, height, width)
+        w_h, w_c = rng.uniform(-1, 1, (2, batch, hidden, height, width))
+        w_h = None if outputs == "cell" else w_h
+        w_c = None if outputs == "hidden" else w_c
+        st_, grads = _step_grads(B.conv_lstm_step, xdata, s0, p, w_h, w_c)
+        ref, ref_grads = _step_grads(conv_lstm_step_composed, xdata, s0, p,
+                                     w_h, w_c)
+        assert np.array_equal(st_.hidden.data, ref.hidden.data)
+        assert np.array_equal(st_.cell.data, ref.cell.data)
+        for key, r in ref_grads.items():
+            g = grads[key]
+            assert (g is None) == (r is None), key
+            if r is not None:
+                assert np.abs(g - r).max() <= 1e-12 * np.abs(r).max(), key
+
+    @pytest.mark.parametrize("state", ["none", "random"])
+    def test_one_tape_entry(self, state):
+        rng = np.random.default_rng(30)
+        p = B.init_conv_lstm(rng, 2, 3)
+        x = Tensor(rng.uniform(-1, 1, (2, 2, 4, 5)), requires_grad=True)
+        s0 = _step_state(state, rng, 2, 3, 4, 5)
+        with T.record() as tape:
+            B.conv_lstm_step(x, s0, p)
+        assert len(tape) == 1
+
+    @pytest.mark.parametrize("state", ["none", "random"])
+    def test_grad_check(self, state):
+        rng = np.random.default_rng(31)
+        p = _random_conv_lstm(rng, 2, 2)
+        x = Tensor(rng.uniform(-1, 1, (2, 2, 3, 4)), requires_grad=True)
+        s0 = _step_state(state, rng, 2, 2, 3, 4)
+        leaves = [x] + [t for t in B.params_of(p).values() if t.requires_grad]
+        if s0 is not None:
+            leaves += [s0.hidden, s0.cell]
+
+        def f(*_):
+            st_ = B.conv_lstm_step(x, s0, p)
+            return T.tsum(st_.hidden * st_.hidden) + T.tsum(T.tanh(st_.cell))
+
+        assert grad_check(f, leaves, eps=1e-5).max_rel_error <= 1e-4
+
+    def test_rejects_bad_shapes(self):
+        rng = np.random.default_rng(32)
+        p = B.init_conv_lstm(rng, 2, 3)
+        x = Tensor(np.zeros((2, 2, 4, 4)))
+        for state in (B.ConvLSTMState(Tensor(np.zeros((2, 2, 4, 4))),
+                                      Tensor(np.zeros((2, 3, 4, 4)))),
+                      B.ConvLSTMState(Tensor(np.zeros((2, 3, 4, 4))),
+                                      Tensor(np.zeros((1, 3, 4, 4)))),
+                      B.zero_state(1, 3, 4, 4)):
+            with pytest.raises(ShapeError):
+                B.conv_lstm_step(x, state, p)
+        with pytest.raises(ShapeError):  # input channels
+            B.conv_lstm_step(Tensor(np.zeros((2, 1, 4, 4))), None, p)
+        bad = {"w_h_o": np.zeros((3, 2, 3, 3)), "w_c_f": np.zeros((3, 3, 5, 5)),
+               "w_c_o": np.zeros((2,)), "b_f": np.zeros((3, 1)),
+               "w_x_c": np.zeros((3, 2, 2, 2))}
+        for name, value in bad.items():
+            q = B.init_conv_lstm(rng, 2, 3)
+            setattr(q, name, Tensor(value))
+            with pytest.raises(ShapeError):
+                B.conv_lstm_step(x, B.zero_state(2, 3, 4, 4), q)
+        q = B.init_conv_lstm(rng, 2, 3, k=2)  # even kernels
+        with pytest.raises(ShapeError):
+            B.conv_lstm_step(x, None, q)
+
+    @pytest.mark.parametrize("fn", [B.conv_lstm_step, conv_lstm_step_composed],
+                             ids=["primitive", "composition"])
+    def test_overflowing_preactivation_raises(self, fn):
+        # sigmoid(inf) = tanh(inf) = 1, so a step that checked only its
+        # outputs would let this overflow pass unseen
+        rng = np.random.default_rng(33)
+        p = B.init_conv_lstm(rng, 2, 2)
+        for w in (p.w_x_i, p.w_x_f, p.w_x_o, p.w_x_c):
+            w.data = w.data * 1e3
+        x = Tensor(np.full((1, 2, 4, 4), 1e306))
+        with pytest.raises(NonFiniteError):
+            fn(x, None, p)
+
+
 def bconv_lstm_composition(sequence, p):
     """Both directions run over the whole sequence from explicit zero
     states, as the gate equations read; the reverse output is the state
     aligned at the final position."""
     b, _, h, w = sequence[0].shape
-    hidden = p.forward.hidden_channels
+    hidden = p.forward.w_c_o.shape[0]
     st = B.zero_state(b, hidden, h, w)
     for x in sequence:
         st = B.conv_lstm_step(x, st, p.forward)

@@ -347,6 +347,13 @@ class TestGradcheckVerb:
         assert "conv2d " in out and "softmax" in out
         assert "worst max_rel_err" in out
 
+    def test_blocks_scope_passes(self, capsys):
+        assert run("gradcheck", "--scope", "blocks") == 0
+        out = capsys.readouterr().out
+        for row in ("conv_lstm_step ", "conv_lstm_step_lazy ", "bconv_lstm "):
+            assert row in out, row
+        assert "worst max_rel_err" in out
+
 
 class TestComplexityVerb:
     def test_direct_mode_hand_values(self, capsys):

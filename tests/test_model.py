@@ -228,15 +228,17 @@ class TestCounters:
         p = B.init_bconv_lstm(rng, cin, hidden)
         seq = [Tensor(rng.uniform(-1, 1, (1, cin, h, w))) for _ in range(length)]
         executed = []
-        conv2d = T.conv2d
+        dense_conv = T._dense_conv
 
-        def counting(x, wt, padding=0, groups=1):
-            out = conv2d(x, wt, padding=padding, groups=groups)
-            cout, cper, kh, kw = wt.shape
+        # every k x k convolution, the ones inside T.conv_lstm_step included,
+        # runs through the shared dense-conv helper
+        def counting(xd, wd, padding):
+            out, patches = dense_conv(xd, wd, padding)
+            cout, cper, kh, kw = wd.shape
             executed.append(2 * cout * cper * kh * kw * out.shape[2] * out.shape[3])
-            return out
+            return out, patches
 
-        monkeypatch.setattr(T, "conv2d", counting)
+        monkeypatch.setattr(T, "_dense_conv", counting)
         B.bconv_lstm(seq, p)
         assert sum(executed) == M._convlstm_flops(cin, hidden, h, w, length)
 
@@ -272,12 +274,20 @@ class TestCounters:
                           skip_sequence_mode=mode, skip_lstm=skip_lstm)
         executed = []
         conv2d, matmul, conv_transpose2d = T.conv2d, T.matmul, T.conv_transpose2d
-        window_attention = T.window_attention
+        window_attention, dense_conv = T.window_attention, T._dense_conv
 
+        # dense k x k convolutions, T.conv_lstm_step's among them, are
+        # counted in the shared helper; conv2d counts its other paths
         def counting_conv2d(x, wt, padding=0, groups=1):
             out = conv2d(x, wt, padding=padding, groups=groups)
-            executed.append(2 * out.size * int(np.prod(wt.shape[1:])))
+            if groups != 1 or wt.shape[-1] == 1:
+                executed.append(2 * out.size * int(np.prod(wt.shape[1:])))
             return out
+
+        def counting_dense_conv(xd, wd, padding):
+            out, patches = dense_conv(xd, wd, padding)
+            executed.append(2 * out.size * int(np.prod(wd.shape[1:])))
+            return out, patches
 
         def counting_matmul(a, b):
             out = matmul(a, b)
@@ -301,6 +311,7 @@ class TestCounters:
             return out
 
         monkeypatch.setattr(T, "conv2d", counting_conv2d)
+        monkeypatch.setattr(T, "_dense_conv", counting_dense_conv)
         monkeypatch.setattr(T, "matmul", counting_matmul)
         monkeypatch.setattr(T, "conv_transpose2d", counting_conv_transpose2d)
         monkeypatch.setattr(T, "window_attention", counting_window_attention)
@@ -313,13 +324,20 @@ class TestCounters:
         params = M.build(cfg, 0)
         x = Tensor(np.random.default_rng(41).uniform(0, 1, (8, 1, 32, 32)))
         shapes = []
-        conv2d = T.conv2d
+        conv2d, dense_conv = T.conv2d, T._dense_conv
 
         def watching(xin, wt, padding=0, groups=1):
             shapes.append((xin.shape, bool(xin.data.any())))
             return conv2d(xin, wt, padding=padding, groups=groups)
 
+        # the ConvLSTM gate convolutions run inside T.conv_lstm_step, which
+        # calls the dense-conv helper directly
+        def watching_dense(xd, wd, padding):
+            shapes.append((xd.shape, bool(xd.any())))
+            return dense_conv(xd, wd, padding)
+
         monkeypatch.setattr(T, "conv2d", watching)
+        monkeypatch.setattr(T, "_dense_conv", watching_dense)
         with T.record():
             T.backward(T.tsum(M.forward(params, x, training=True)))
         assert shapes
