@@ -88,24 +88,19 @@ def separable_conv_bn(x, p, training, update_stats=None):
     y = _conv_same_depthwise(x, p.depthwise)
     y = T.conv2d(y, p.pointwise, padding=0, groups=1)
 
-    if training:
-        mu = T.tmean(y, axes=[0, 2, 3], keepdims=True)
-        centered = y - mu
-        var = T.tmean(centered * centered, axes=[0, 2, 3], keepdims=True)
-        if update_stats:
-            m = p.bn_momentum
-            p.bn_running_mean.data = (
-                (1.0 - m) * p.bn_running_mean.data + m * mu.data.reshape(-1)
-            )
-            p.bn_running_var.data = (
-                (1.0 - m) * p.bn_running_var.data + m * var.data.reshape(-1)
-            )
-    else:
-        mu = _per_channel(p.bn_running_mean)
-        var = _per_channel(p.bn_running_var)
-        centered = y - mu
-    xhat = centered / T.sqrt(var + p.bn_eps)
-    return _per_channel(p.bn_gamma) * xhat + _per_channel(p.bn_beta)
+    stats = None if training else (p.bn_running_mean.data,
+                                   p.bn_running_var.data)
+    out, mu, var = T.normalize(y, p.bn_gamma, p.bn_beta, (0, 2, 3), p.bn_eps,
+                               stats)
+    if training and update_stats:
+        m = p.bn_momentum
+        p.bn_running_mean.data = (
+            (1.0 - m) * p.bn_running_mean.data + m * mu.reshape(-1)
+        )
+        p.bn_running_var.data = (
+            (1.0 - m) * p.bn_running_var.data + m * var.reshape(-1)
+        )
+    return out
 
 
 def encoder_block(x, params_pair, training=False, update_stats=None):
@@ -411,11 +406,7 @@ def window_attention(x, p, shifted):
 
 def _layer_norm(x, p):
     """Per-position normalization over the channel axis of an NCHW map."""
-    mu = T.tmean(x, axes=[1], keepdims=True)
-    centered = x - mu
-    var = T.tmean(centered * centered, axes=[1], keepdims=True)
-    xhat = centered / T.sqrt(var + p.eps)
-    return _per_channel(p.gamma) * xhat + _per_channel(p.beta)
+    return T.normalize(x, p.gamma, p.beta, (1,), p.eps)[0]
 
 
 def _mlp(x, p):

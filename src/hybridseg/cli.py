@@ -189,6 +189,16 @@ def gradcheck_ops():
                      requires_grad=True)
     _check("maxpool2x2", lambda *_: T.tsum(T.maxpool2x2(pool_in) * 2.0),
            [pool_in], results)
+    norm_in, gamma, beta = rand((2, 3, 3, 2)), rand((3,)), rand((3,))
+    w_norm = Tensor(rng.uniform(-1.0, 1.0, (2, 3, 3, 2)))
+    stats = (rng.uniform(-1.0, 1.0, 3), rng.uniform(0.5, 2.0, 3))
+    for name, axes, given in (("normalize_batch", (0, 2, 3), None),
+                              ("normalize_layer", (1,), None),
+                              ("normalize_given_stats", (0, 2, 3), stats)):
+        _check(name,
+               lambda *_, axes=axes, given=given: T.tsum(T.normalize(
+                   norm_in, gamma, beta, axes, 1e-2, given)[0] * w_norm),
+               [norm_in, gamma, beta], results)
     return results
 
 

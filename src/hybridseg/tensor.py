@@ -326,18 +326,6 @@ def tanh(a):
     return _register(out, [a], bw)
 
 
-def exp(a):
-    y = np.exp(a.data)
-    out = Tensor(y)
-    return _register(out, [a], lambda g: (g * y,))
-
-
-def log(a):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = Tensor(np.log(a.data))
-    return _register(out, [a], lambda g: (g / a.data,))
-
-
 def sqrt(a):
     with np.errstate(invalid="ignore"):
         y = np.sqrt(a.data)
@@ -513,6 +501,79 @@ def softmax(a, axis):
         return (y * (g - dot),)
 
     return _register(out, [a], bw)
+
+
+def normalize(x, gamma, beta, axes, eps, stats=None):
+    """(x - mean) / sqrt(var + eps) * gamma + beta, as one tape entry.
+
+    Mean and variance are taken over axes (batch statistics), or are the
+    given stats = (mean, var) arrays of the reduced shape, which get no
+    gradient. gamma and beta are per channel on axis 1. Returns (out, mean,
+    var), the statistics as arrays of the reduced (keepdims) shape. The
+    forward repeats the NumPy sequence of the same normalization composed
+    from taped ops, so outputs are bitwise equal to it; the backward is
+    written out in that composition's order, and x is listed twice among the
+    entry's inputs so that its centred-path and mean-path gradients are
+    added to x.grad one after the other, as the composition adds them.
+    """
+    xd = x.data
+    if xd.ndim < 2 or gamma.shape != (xd.shape[1],) or beta.shape != gamma.shape:
+        raise ShapeError(
+            f"normalize: input {xd.shape} with per-channel gamma {gamma.shape} "
+            f"and beta {beta.shape}"
+        )
+    axes = _norm_axes(axes, xd.ndim)
+    reduced = tuple(1 if i in axes else s for i, s in enumerate(xd.shape))
+    count = int(np.prod([xd.shape[ax] for ax in axes]))
+    pshape = (1, xd.shape[1]) + (1,) * (xd.ndim - 2)
+    g4, b4 = gamma.data.reshape(pshape), beta.data.reshape(pshape)
+    if stats is None:
+        if count == 0:
+            raise ShapeError(f"normalize: batch statistics over empty axes {axes}")
+        inputs = [x, x, gamma, beta]
+    else:
+        if any(np.size(s) != np.prod(reduced) for s in stats):
+            raise ShapeError(f"normalize: stats do not match {reduced}")
+        inputs = [x, gamma, beta]
+    # with no tape entry to make, centered is dropped right after its use
+    keep = _recording(inputs)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        if stats is None:
+            mean = xd.mean(axis=axes, keepdims=True)
+            centered = xd - mean
+            var = (centered * centered).mean(axis=axes, keepdims=True)
+        else:
+            mean, var = (np.reshape(s, reduced) for s in stats)
+            centered = xd - mean
+        _check_finite(var, "normalize variance")
+        std = np.sqrt(var + eps)
+        y = centered / std  # xhat
+        if not keep:
+            centered = None
+        y *= g4
+        y += b4
+        _check_finite(y, "normalize")
+    out = Tensor(y)
+
+    def bw(g):
+        # xhat is recomputed, bit for bit, rather than held on the tape
+        xhat = centered / std
+        g_gamma = _unbroadcast(g * xhat, pshape).reshape(gamma.shape)
+        g_beta = _unbroadcast(g, pshape).reshape(beta.shape)
+        g_xhat = g * g4
+        gc = g_xhat / std
+        if stats is not None:
+            return gc, g_gamma, g_beta
+        g_std = _unbroadcast(-g_xhat * xhat / std, reduced)
+        g_sq = np.broadcast_to(g_std * 0.5 / std, xd.shape) / count
+        g_sq *= centered
+        gc += g_sq  # the two factors of centered * centered, one at a time
+        gc += g_sq
+        g_mean = np.broadcast_to(_unbroadcast(-gc, reduced), xd.shape) / count
+        return gc, g_mean, g_gamma, g_beta
+
+    return _register(out, inputs, bw), mean, var
 
 
 def pad2d(a, pads):

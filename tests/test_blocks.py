@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -223,6 +224,36 @@ def window_attention_composed(x, p, shifted):
         out = T.roll2d(out, (shift, shift))
     return out
 
+
+def normalize_composed(x, gamma, beta, axes, eps, stats=None):
+    """(x - mean) / sqrt(var + eps) * gamma + beta composed from taped ops:
+    the reference for T.normalize's forward bits and hand-written backward.
+    stats = (mean, var) arrays replace the batch statistics over axes."""
+    per_ch = (1, x.shape[1]) + (1,) * (x.ndim - 2)
+    if stats is None:
+        mu = T.tmean(x, axes=axes, keepdims=True)
+        centered = x - mu
+        var = T.tmean(centered * centered, axes=axes, keepdims=True)
+    else:
+        reduced = tuple(1 if i in axes else s for i, s in enumerate(x.shape))
+        mu, var = (Tensor(np.reshape(s, reduced)) for s in stats)
+        centered = x - mu
+    xhat = centered / T.sqrt(var + eps)
+    return T.reshape(gamma, per_ch) * xhat + T.reshape(beta, per_ch)
+
+
+def batch_norm_composed(y, p, training):
+    """The batch norm of separable_conv_bn, running-stat update left out."""
+    stats = None if training else (p.bn_running_mean.data, p.bn_running_var.data)
+    return normalize_composed(y, p.bn_gamma, p.bn_beta, [0, 2, 3], p.bn_eps,
+                              stats)
+
+
+def layer_norm_composed(x, p):
+    """blocks._layer_norm: per-position normalization over channels."""
+    return normalize_composed(x, p.gamma, p.beta, [1], p.eps)
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -309,6 +340,165 @@ class TestSeparableConvBN:
 
         res = grad_check(f, leaves, eps=1e-5)
         assert res.max_rel_error <= 1e-4
+
+
+def _normalize_grads(fn, xdata, gamma, beta, weights, residual=False):
+    """Output and the (x, gamma, beta) gradients of sum(weights * out), with
+    out = fn(x, gamma, beta), plus x when residual."""
+    leaves = [Tensor(xdata, requires_grad=True), gamma, beta]
+    for t in leaves:
+        t.grad = None
+    with T.record():
+        out = fn(*leaves)
+        if residual:
+            out = leaves[0] + out
+        T.backward(T.tsum(out * Tensor(weights)))
+    return out.data, [t.grad for t in leaves]
+
+
+class TestNormalizePrimitive:
+    @settings(deadline=None, max_examples=60)
+    @given(batch=st.integers(1, 3), channels=st.integers(1, 6),
+           height=st.integers(1, 6), width=st.integers(1, 6),
+           axes=st.sampled_from([(0, 2, 3), (1,)]), given_stats=st.booleans(),
+           seed=st.integers(0, 2**16))
+    def test_matches_composition(self, batch, channels, height, width, axes,
+                                 given_stats, seed):
+        rng = np.random.default_rng(seed)
+        shape = (batch, channels, height, width)
+        reduced = tuple(1 if i in axes else s for i, s in enumerate(shape))
+        stats = (rng.uniform(-1, 1, reduced), rng.uniform(0.1, 2, reduced)) \
+            if given_stats else None
+        gamma, beta = (Tensor(rng.uniform(-2, 2, channels), requires_grad=True)
+                       for _ in range(2))
+        xdata = rng.uniform(-3, 3, shape)
+        weights = rng.uniform(-1, 1, shape)
+        out, grads = _normalize_grads(
+            lambda *a: T.normalize(*a, axes, 1e-2, stats)[0],
+            xdata, gamma, beta, weights)
+        ref, ref_grads = _normalize_grads(
+            lambda *a: normalize_composed(*a, list(axes), 1e-2, stats),
+            xdata, gamma, beta, weights)
+        assert np.array_equal(out, ref)
+        for g, r in zip(grads, ref_grads):
+            assert np.array_equal(g, r)
+
+    def test_returns_the_statistics_used(self):
+        rng = np.random.default_rng(40)
+        x = rng.uniform(-1, 1, (2, 3, 4, 5))
+        gamma, beta = Tensor(np.ones(3)), Tensor(np.zeros(3))
+        _, mean, var = T.normalize(Tensor(x), gamma, beta, (0, 2, 3), 1e-5)
+        assert mean.shape == var.shape == (1, 3, 1, 1)
+        assert np.allclose(mean.reshape(-1), x.mean(axis=(0, 2, 3)))
+        assert np.allclose(var.reshape(-1), x.var(axis=(0, 2, 3)))
+        stats = (np.arange(3.0), np.full(3, 4.0))
+        out, mean, var = T.normalize(Tensor(x), gamma, beta, (0, 2, 3), 0.0,
+                                     stats)
+        assert np.array_equal(mean.reshape(-1), stats[0])
+        assert np.allclose(out.data, (x - np.arange(3.0)[:, None, None]) / 2.0)
+
+    def test_residual_input_grad_matches_composition(self):
+        # x feeds both the layer norm and a residual add, as z1 and z3 do in
+        # swin_block_pair: its gradient terms must arrive in the same order
+        rng = np.random.default_rng(41)
+        p = B.init_swin_pair(rng, 5, 2, 1).ln1b
+        p.gamma.data, p.beta.data = rng.uniform(-2, 2, (2, 5))
+        xdata = rng.uniform(-3, 3, (2, 5, 4, 6))
+        weights = rng.uniform(-1, 1, xdata.shape)
+        results = [
+            _normalize_grads(lambda x, *_: fn(x, p), xdata, p.gamma, p.beta,
+                             weights, residual=True)
+            for fn in (B._layer_norm, layer_norm_composed)
+        ]
+        (out, grads), (ref, ref_grads) = results
+        assert np.array_equal(out, ref)
+        for g, r in zip(grads, ref_grads):
+            assert np.array_equal(g, r)
+
+    def test_swin_pair_grads_match_composition(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        p = B.init_swin_pair(rng, 4, 2, 2, mlp_ratio=2)
+        leaves = [t for t in B.params_of(p).values() if t.requires_grad]
+        xdata = rng.uniform(-1, 1, (2, 4, 4, 4))
+
+        def run():
+            x = Tensor(xdata, requires_grad=True)
+            for t in leaves:
+                t.grad = None
+            with T.record():
+                out = B.swin_block_pair(x, p)
+                T.backward(T.tsum(out * out))
+            return out.data, [x.grad] + [t.grad for t in leaves]
+
+        out, grads = run()
+        monkeypatch.setattr(B, "_layer_norm", layer_norm_composed)
+        ref, ref_grads = run()
+        assert np.array_equal(out, ref)
+        for g, r in zip(grads, ref_grads):
+            assert np.array_equal(g, r)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_separable_conv_bn_matches_composition(self, training):
+        rng = np.random.default_rng(43)
+        p = B.init_separable_conv(rng, 3, 4)
+        p.bn_running_mean.data = rng.uniform(-1, 1, 4)
+        p.bn_running_var.data = rng.uniform(0.5, 2, 4)
+        x = Tensor(rng.uniform(-1, 1, (2, 3, 5, 4)))
+        y = T.conv2d(T.conv2d(x, p.depthwise, padding=1, groups=3), p.pointwise)
+        ref = batch_norm_composed(y, p, training)
+        out = B.separable_conv_bn(x, p, training, update_stats=False)
+        assert np.array_equal(out.data, ref.data)
+
+    @pytest.mark.parametrize("axes,given", [((0, 2, 3), False), ((1,), False),
+                                            ((0, 2, 3), True)])
+    def test_one_tape_entry(self, axes, given):
+        rng = np.random.default_rng(44)
+        x = Tensor(rng.uniform(-1, 1, (2, 3, 4, 4)), requires_grad=True)
+        gamma, beta = Tensor(np.ones(3), requires_grad=True), Tensor(np.zeros(3))
+        reduced = tuple(1 if i in axes else s for i, s in enumerate(x.shape))
+        stats = (np.zeros(reduced), np.ones(reduced)) if given else None
+        with T.record() as tape:
+            T.normalize(x, gamma, beta, axes, 1e-5, stats)
+        assert len(tape) == 1
+
+    @pytest.mark.parametrize("axes", [(0, 2, 3), (1,)])
+    def test_grad_check(self, axes):
+        rng = np.random.default_rng(45)
+        x = Tensor(rng.uniform(-1, 1, (2, 3, 3, 4)), requires_grad=True)
+        gamma = Tensor(rng.uniform(0.5, 2, 3), requires_grad=True)
+        beta = Tensor(rng.uniform(-1, 1, 3), requires_grad=True)
+        weights = Tensor(rng.uniform(-1, 1, x.shape))
+
+        def f(*_):
+            out = T.normalize(x, gamma, beta, axes, 1e-2)[0]
+            return T.tsum(out * weights)
+
+        assert grad_check(f, [x, gamma, beta], eps=1e-5).max_rel_error <= 1e-4
+
+    @pytest.mark.parametrize("axes", [(0, 2, 3), (1,)])
+    def test_overflow_raises_non_finite_naming_the_op(self, axes):
+        # centred * centred overflows: that must surface as NonFiniteError,
+        # not as a floating-point warning, and say which op it came from
+        x = Tensor(np.array([-1e200, 1e200, 3e200, -2e200]).reshape(2, 2, 1, 1))
+        gamma, beta = Tensor(np.ones(2)), Tensor(np.zeros(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFiniteError, match="normalize"):
+                T.normalize(x, gamma, beta, axes, 1e-5)
+
+    def test_rejects_bad_shapes(self):
+        x = Tensor(np.zeros((2, 3, 4, 4)))
+        ones = Tensor(np.ones(3))
+        with pytest.raises(ShapeError):
+            T.normalize(x, Tensor(np.ones(2)), ones, (0, 2, 3), 1e-5)
+        with pytest.raises(ShapeError):
+            T.normalize(x, ones, Tensor(np.ones(4)), (1,), 1e-5)
+        with pytest.raises(ShapeError):
+            T.normalize(x, ones, ones, (0, 2, 3), 1e-5,
+                        (np.zeros(2), np.ones(2)))
+        with pytest.raises(ShapeError):
+            T.normalize(Tensor(np.zeros((0, 3, 4, 4))), ones, ones, (0, 2, 3),
+                        1e-5)
 
 
 class TestEncoderBlock:

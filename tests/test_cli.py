@@ -345,6 +345,9 @@ class TestGradcheckVerb:
         assert run("gradcheck", "--scope", "ops") == 0
         out = capsys.readouterr().out
         assert "conv2d " in out and "softmax" in out
+        for row in ("normalize_batch ", "normalize_layer ",
+                    "normalize_given_stats "):
+            assert row in out, row
         assert "worst max_rel_err" in out
 
     def test_blocks_scope_passes(self, capsys):
