@@ -123,28 +123,19 @@ def encoder_block(x, params_pair, training=False, update_stats=None):
 
 @dataclass
 class ConvLSTMParams:
-    """Gate kernels for one ConvLSTM direction.
+    """Gate kernels for one ConvLSTM direction, one tensor per input stream,
+    gates stacked on axis 0 in the order input, forget, output, candidate.
 
     Input/forget gates see the previous memory cell through convolutional
     peepholes; the output gate sees the updated cell through a per-channel
     Hadamard peephole. That asymmetry is deliberate and load-bearing.
     """
 
-    w_x_i: Tensor
-    w_h_i: Tensor
-    w_c_i: Tensor  # conv peephole on previous cell
-    b_i: Tensor
-    w_x_f: Tensor
-    w_h_f: Tensor
-    w_c_f: Tensor  # conv peephole on previous cell
-    b_f: Tensor
-    w_x_o: Tensor
-    w_h_o: Tensor
+    w_x: Tensor  # (4 hidden, in, k, k)
+    w_h: Tensor  # (4 hidden, hidden, k, k)
+    w_c: Tensor  # (2 hidden, hidden, k, k) conv peepholes on the previous cell
     w_c_o: Tensor  # (hidden,) Hadamard peephole on the new cell
-    b_o: Tensor
-    w_x_c: Tensor
-    w_h_c: Tensor
-    b_c: Tensor
+    b: Tensor  # (4 hidden,)
 
 
 @dataclass
@@ -162,21 +153,27 @@ def zero_state(batch, hidden, height, width):
 
 def init_conv_lstm(rng, in_ch, hidden, k=3):
     def conv_w(cin):
-        return Tensor(
-            rng.normal(0.0, math.sqrt(1.0 / (k * k * cin)), size=(hidden, cin, k, k)),
-            requires_grad=True,
-        )
+        return rng.normal(0.0, math.sqrt(1.0 / (k * k * cin)),
+                          size=(hidden, cin, k, k))
 
-    def bias():
-        return Tensor(np.zeros(hidden), requires_grad=True)
+    # drawn gate by gate (x-kernel, h-kernel, then the gate's peephole), the
+    # order every seeded weight depends on, and stacked per stream after
+    w_x, w_h, w_c = [], [], []
+    for gate in "ifoc":
+        w_x.append(conv_w(in_ch))
+        w_h.append(conv_w(hidden))
+        if gate in "if":
+            w_c.append(conv_w(hidden))
+        elif gate == "o":
+            w_c_o = rng.normal(0.0, 0.1, size=hidden)
+
+    def param(data):
+        return Tensor(data, requires_grad=True)
 
     return ConvLSTMParams(
-        w_x_i=conv_w(in_ch), w_h_i=conv_w(hidden), w_c_i=conv_w(hidden), b_i=bias(),
-        w_x_f=conv_w(in_ch), w_h_f=conv_w(hidden), w_c_f=conv_w(hidden), b_f=bias(),
-        w_x_o=conv_w(in_ch), w_h_o=conv_w(hidden),
-        w_c_o=Tensor(rng.normal(0.0, 0.1, size=hidden), requires_grad=True),
-        b_o=bias(),
-        w_x_c=conv_w(in_ch), w_h_c=conv_w(hidden), b_c=bias(),
+        w_x=param(np.concatenate(w_x)), w_h=param(np.concatenate(w_h)),
+        w_c=param(np.concatenate(w_c)), w_c_o=param(w_c_o),
+        b=param(np.zeros(4 * hidden)),
     )
 
 
@@ -191,21 +188,11 @@ def conv_lstm_step(x, state, p):
     state=None stands for the all-zero initial state. Its h- and c-stream
     convolutions and the forget-gate term f * c_prev are exactly zero, so
     they are not computed, nor is the forget gate itself: outputs equal those
-    of a zero_state step, and the h-kernels, cell peepholes and the forget
-    gate's x-kernel and bias get no gradient (None) from the step.
+    of a zero_state step. w_h and w_c get no gradient (None) from the step,
+    and the forget-gate rows of w_x and b get exact zeros.
     """
-    h = c = None
-    if state is not None:
-        h, c = state.hidden, state.cell
-        if x.shape[-2:] != h.shape[-2:] or x.shape[0] != h.shape[0]:
-            raise ShapeError(f"input {x.shape} does not match state {h.shape}")
-    hidden, cell = T.conv_lstm_step(
-        x, h, c,
-        [p.w_x_i, p.w_x_f, p.w_x_o, p.w_x_c],
-        [p.w_h_i, p.w_h_f, p.w_h_o, p.w_h_c],
-        [p.w_c_i, p.w_c_f], p.w_c_o,
-        [p.b_i, p.b_f, p.b_o, p.b_c],
-    )
+    h, c = (None, None) if state is None else (state.hidden, state.cell)
+    hidden, cell = T.conv_lstm_step(x, h, c, p.w_x, p.w_h, p.w_c, p.w_c_o, p.b)
     return ConvLSTMState(hidden=hidden, cell=cell)
 
 
@@ -392,15 +379,9 @@ def window_attention(x, p, shifted):
     masked out of each other's attention, and the shift is undone afterward.
     Output shape equals input shape.
     """
-    b, c, height, width = x.shape
-    n = p.window_size
-    if c != p.embed_dim:
-        raise ShapeError(f"channels {c} do not match embed dim {p.embed_dim}")
-    if height % n or width % n:
-        raise ShapeError(f"spatial extents {(height, width)} not multiples of {n}")
     ap = p.attn2 if shifted else p.attn1
     return T.window_attention(x, ap.qkv_w, ap.q_bias, ap.v_bias, ap.proj_w,
-                              ap.proj_b, n, p.num_heads,
+                              ap.proj_b, p.window_size, p.num_heads,
                               p.shift if shifted else 0)
 
 

@@ -156,10 +156,6 @@ def gradcheck_ops():
     _check("reduce_sum", lambda *_: T.tsum(T.tsum(a, axes=[0]) * T.tsum(b, axes=[0])),
            [a, b], results)
     _check("reduce_mean", lambda *_: T.tmean(a * a), [a], results)
-    max_in = Tensor(np.cumsum(rng.uniform(0.1, 1.0, 12)).reshape(3, 4),
-                    requires_grad=True)  # distinct values, no ties
-    _check("reduce_max", lambda *_: T.tsum(T.tmax(max_in, axes=[1]) * 2.0),
-           [max_in], results)
     _check("softmax", lambda *_: T.tsum(T.softmax(a, axis=1) * b), [a, b], results)
     x4 = rand((1, 2, 4, 4))
     _check("pad2d", lambda *_: T.tsum(T.pad2d(x4, (1, 0, 2, 1))

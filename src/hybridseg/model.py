@@ -290,11 +290,9 @@ def labels_from_probs(prob):
 # counters
 
 
-def count_params(params, trainable_only=True):
-    """Total parameter elements (trainable by default; running statistics
-    and other buffers are excluded unless trainable_only is False)."""
-    items = params.trainable() if trainable_only else params.flat()
-    return sum(t.size for t in items.values())
+def count_params(params):
+    """Total trainable parameter elements; running statistics are excluded."""
+    return sum(t.size for t in params.trainable().values())
 
 
 def _sepconv_flops(cin, cout, h, w, k=3):
@@ -396,7 +394,8 @@ def save_checkpoint(params, directory):
 
 def load_checkpoint_tensors(directory):
     """Read {key: Tensor} from a checkpoint directory. The manifest names each
-    key once, and its records, sorted by offset, tile tensors.bin exactly."""
+    key once, and its records, sorted by offset, tile tensors.bin exactly.
+    Per-gate ConvLSTM keys of older checkpoints come back stacked."""
     directory = Path(directory)
     manifest_path = directory / "manifest.txt"
     blob_path = directory / "tensors.bin"
@@ -429,7 +428,33 @@ def load_checkpoint_tensors(directory):
         pos = end
     if pos != len(buf):
         raise FormatError(f"tensors.bin has {len(buf) - pos} trailing bytes")
-    return out
+    return _stack_gate_keys(out)
+
+
+# ConvLSTM tensors that checkpoints written before the gates were stacked
+# per input stream keep one key per gate, such as skip1.lstm.forward.w_x_i
+_GATE_KEYS = {"w_x": "ifoc", "w_h": "ifoc", "w_c": "if", "b": "ifoc"}
+
+
+def _stack_gate_keys(tensors):
+    """Replace per-gate ConvLSTM keys by the stacked ones, gates in the
+    order i, f, o, c; a direction that lacks one of them is a FormatError."""
+    legacy = {f"{name}_{g}" for name, gates in _GATE_KEYS.items() for g in gates}
+    prefixes = {k.rsplit(".", 1)[0] for k in tensors
+                if k.rsplit(".", 1)[-1] in legacy}
+    for prefix in sorted(prefixes):
+        for name, gates in _GATE_KEYS.items():
+            keys = [f"{prefix}.{name}_{g}" for g in gates]
+            missing = [k for k in keys if k not in tensors]
+            if missing:
+                raise FormatError(f"checkpoint lacks per-gate tensor {missing[0]}")
+            try:
+                data = np.concatenate([tensors.pop(k).data for k in keys])
+            except ValueError as exc:
+                raise FormatError(f"per-gate tensors {prefix}.{name}_* do not "
+                                  f"stack: {exc}") from exc
+            tensors[f"{prefix}.{name}"] = Tensor(data)
+    return tensors
 
 
 def load_checkpoint(directory):
@@ -454,12 +479,6 @@ class TransferReport:
     copied: list
     skipped_shape: list
     missing: list
-
-    def summary(self):
-        return (
-            f"copied={len(self.copied)} "
-            f"skipped_shape={len(self.skipped_shape)} missing={len(self.missing)}"
-        )
 
 
 def transfer_weights(target, source_checkpoint):

@@ -41,14 +41,7 @@ class FormatError(ValueError):
 
 
 _TAPE = None
-_NODE_COUNTER = 0
-_PATTERN_WATCH = None  # collects relu/max decision signatures when enabled
-
-
-def _next_node_id():
-    global _NODE_COUNTER
-    _NODE_COUNTER += 1
-    return _NODE_COUNTER
+_PATTERN_WATCH = None  # collects relu/maxpool decision signatures when enabled
 
 
 def _check_finite(arr, opname):
@@ -61,10 +54,11 @@ class Tensor:
 
     ``data`` is the value, ``grad`` (filled by backward) has the same shape,
     ``requires_grad`` marks leaves the user wants derivatives for and is
-    propagated to every op output that depends on one.
+    propagated to every op output that depends on one. Tensors hash and
+    compare by identity.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "node_id")
+    __slots__ = ("data", "grad", "requires_grad")
 
     def __init__(self, data, requires_grad=False):
         arr = np.asarray(data, dtype=np.float64)
@@ -72,7 +66,6 @@ class Tensor:
         self.data = arr
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self.node_id = _next_node_id()
 
     @property
     def shape(self):
@@ -90,10 +83,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError("item() requires a single-element tensor")
         return float(self.data.reshape(()))
-
-    def detach(self):
-        """Copy of the value with no tape linkage."""
-        return Tensor(self.data.copy())
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -139,9 +128,9 @@ class Tape:
 
     Entries are (output tensors, input tensors, backward rule) appended in
     execution order; most ops have one output, conv_lstm_step has two.
-    ``kink_tol`` > 0 arms kink detection: relu and max ops count evaluations
-    that land within the tolerance of a nondifferentiable point (used by
-    grad_check to flag excluded points).
+    ``kink_tol`` > 0 arms kink detection: relu and maxpool2x2 count
+    evaluations that land within the tolerance of a nondifferentiable point
+    (used by grad_check to flag excluded points).
     """
 
     def __init__(self):
@@ -193,19 +182,22 @@ def _register(out, inputs, backward_fn):
         outs = out if isinstance(out, tuple) else (out,)
         for o in outs:
             o.requires_grad = True
-            tape._produced.add(o.node_id)
+            tape._produced.add(o)
         tape.ops.append((outs, inputs, backward_fn))
     return out
 
 
 def _kink_hook(min_gap):
+    """Count a kink event if kink detection is armed and min_gap(), the
+    distance to the nearest nondifferentiable point, is within tolerance;
+    min_gap is only called when armed."""
     tape = _TAPE
-    if tape is not None and tape.kink_tol > 0.0 and min_gap <= tape.kink_tol:
+    if tape is not None and tape.kink_tol > 0.0 and min_gap() <= tape.kink_tol:
         tape.kink_events += 1
 
 
 def _pattern_hook(decision):
-    """Record a digest of a relu mask / max argmax so grad_check can detect
+    """Record a digest of a relu mask / maxpool argmax so grad_check can detect
     evaluations whose piecewise branch differs between perturbed points."""
     if _PATTERN_WATCH is not None:
         _PATTERN_WATCH.append(
@@ -290,7 +282,7 @@ def neg(a):
 
 def relu(a):
     x = a.data
-    _kink_hook(float(np.min(np.abs(x))) if x.size else np.inf)
+    _kink_hook(lambda: float(np.min(np.abs(x))) if x.size else np.inf)
     out = Tensor(np.maximum(x, 0.0))
     mask = x > 0.0  # subgradient 0 at exactly 0
     _pattern_hook(mask)
@@ -456,34 +448,6 @@ def tmean(a, axes=None, keepdims=False):
 
     def bw(g):
         return (_expand_reduced(g, a.shape, axes, keepdims) / count,)
-
-    return _register(out, [a], bw)
-
-
-def tmax(a, axes=None, keepdims=False):
-    """Max reduction; backward routes the gradient to a single argmax element."""
-    axes = _norm_axes(axes, a.ndim)
-    kept = tuple(i for i in range(a.ndim) if i not in axes)
-    perm = kept + axes
-    moved = a.data.transpose(perm)
-    lead = moved.shape[: len(kept)]
-    flat = moved.reshape(lead + (-1,))
-    idx = np.argmax(flat, axis=-1)
-    vals = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-    _pattern_hook(idx)
-    if flat.shape[-1] > 1:
-        top2 = np.partition(flat, -2, axis=-1)[..., -2:]
-        _kink_hook(float(np.min(top2[..., 1] - top2[..., 0])))
-    out_data = vals if keepdims is False else vals.reshape(
-        tuple(1 if i in axes else s for i, s in enumerate(a.shape))
-    )
-    out = Tensor(out_data)
-
-    def bw(g):
-        gflat = g.reshape(lead)
-        buf = np.zeros_like(flat)
-        np.put_along_axis(buf, idx[..., None], gflat[..., None], axis=-1)
-        return (buf.reshape(moved.shape).transpose(np.argsort(perm)),)
 
     return _register(out, [a], bw)
 
@@ -787,10 +751,12 @@ def maxpool2x2(x):
     idx = np.argmax(r, axis=-1)
     vals = np.take_along_axis(r, idx[..., None], axis=-1)[..., 0]
     _pattern_hook(idx)
-    tape = _TAPE
-    if tape is not None and tape.kink_tol > 0.0:
+
+    def min_gap():
         top2 = np.partition(r, -2, axis=-1)[..., -2:]
-        _kink_hook(float(np.min(top2[..., 1] - top2[..., 0])))
+        return float(np.min(top2[..., 1] - top2[..., 0]))
+
+    _kink_hook(min_gap)
     out = Tensor(vals)
 
     def bw(g):
@@ -938,12 +904,12 @@ def conv_lstm_step(x, h, c, w_x, w_h, w_c, w_c_o, b):
     """One ConvLSTM update as one tape entry with two outputs (h_new, c_new).
 
     x: (B, Cin, H, W). h, c: the (B, hid, H, W) hidden state and memory
-    cell, or both None for the all-zero state. w_x and w_h: the (hid, Cin,
-    k, k) and (hid, hid, k, k) kernels of the input, forget, output and
-    candidate gates, in that order; w_c: the input and forget gates' k x k
-    peepholes on c; w_c_o: the output gate's (hid,) Hadamard peephole on
-    c_new; b: the four gate biases (hid,). k is odd and every convolution
-    keeps the spatial extent.
+    cell, or both None for the all-zero state. w_x (4 hid, Cin, k, k), w_h
+    (4 hid, hid, k, k) and b (4 hid,): the kernels and biases of the input,
+    forget, output and candidate gates, stacked in that order; w_c (2 hid,
+    hid, k, k): the input and forget gates' k x k peepholes on c; w_c_o: the
+    output gate's (hid,) Hadamard peephole on c_new. k is odd and every
+    convolution keeps the spatial extent.
 
         i = sigmoid(x * w_xi + h * w_hi + c * w_ci + b_i)
         f = sigmoid(x * w_xf + h * w_hf + c * w_cf + b_f)
@@ -952,21 +918,22 @@ def conv_lstm_step(x, h, c, w_x, w_h, w_c, w_c_o, b):
         h_new = o tanh(c_new)
 
     From the zero state the h- and c-terms and f c vanish, so neither they
-    nor the forget gate are computed, and w_h, w_c, w_x[1] and b[1] are not
-    inputs of the entry: they get no gradient from it. Each stream's kernels
-    run as one dense convolution. The elementwise steps follow the NumPy
-    order of the same update composed from taped ops, so outputs are bitwise
-    equal to it; the backward is written out from the cached patch matrices
-    and gate activations.
+    nor the forget gate are computed: w_h and w_c are not inputs of the
+    entry, and the forget rows of w_x and b get zero gradients. Each
+    stream's kernels run as one dense convolution. The elementwise steps
+    follow the NumPy order of the same update composed from taped ops, so
+    outputs are bitwise equal to it; the backward is written out from the
+    cached patch matrices and gate activations.
     """
     xd = x.data
     if xd.ndim != 4 or w_c_o.ndim != 1:
         raise ShapeError("conv_lstm_step expects rank-4 input, (hidden,) peephole")
     bsz, cin, height, width = xd.shape
     hid = w_c_o.shape[0]
-    k = w_x[0].shape[-1] if w_x and w_x[0].ndim else 0
-    got = [t.shape for t in (*w_x, *w_h, *w_c, *b)]
-    want = [(hid, cin, k, k)] * 4 + [(hid, hid, k, k)] * 6 + [(hid,)] * 4
+    k = w_x.shape[-1] if w_x.ndim else 0
+    got = [w_x.shape, w_h.shape, w_c.shape, b.shape]
+    want = [(4 * hid, cin, k, k), (4 * hid, hid, k, k), (2 * hid, hid, k, k),
+            (4 * hid,)]
     if k % 2 == 0 or got != want:
         raise ShapeError(
             f"conv_lstm_step weights {got} do not match {cin} input and "
@@ -978,13 +945,15 @@ def conv_lstm_step(x, h, c, w_x, w_h, w_c, w_c_o, b):
         raise ShapeError(f"conv_lstm_step state does not match {state}")
 
     pad = (k - 1) // 2
-    bi, bf, bo, bc = (t.data.reshape(1, hid, 1, 1) for t in b)
+    bi, bf, bo, bc = np.split(b.data.reshape(1, 4 * hid, 1, 1), 4, axis=1)
     wco = w_c_o.data.reshape(1, hid, 1, 1)
-    x_kernels = list(w_x) if h is not None else [w_x[0], w_x[2], w_x[3]]
     if h is None:
-        inputs = [x, *x_kernels, w_c_o, b[0], b[2], b[3]]
+        live = np.r_[:hid, 2 * hid : 4 * hid]  # the i, o and c rows
+        wx = w_x.data[live]
+        inputs = [x, w_x, w_c_o, b]
     else:
-        inputs = [x, h, c, *w_x, *w_h, *w_c, w_c_o, *b]
+        wx = w_x.data
+        inputs = [x, h, c, w_x, w_h, w_c, w_c_o, b]
     # when no tape entry is made, the patch matrices are dropped right after
     # their GEMMs and each intermediate right after its use: held to the
     # end, they made a tape-free 64x64 step about twice as slow
@@ -995,7 +964,6 @@ def conv_lstm_step(x, h, c, w_x, w_h, w_c, w_c_o, b):
         _check_finite(pre, "conv_lstm_step")
         return fn(pre)
 
-    wx = np.concatenate([t.data for t in x_kernels])
     with np.errstate(over="ignore", invalid="ignore"):
         fx, px = _dense_conv(xd, wx, pad)
         px = px if keep else None
@@ -1007,10 +975,8 @@ def conv_lstm_step(x, h, c, w_x, w_h, w_c, w_c_o, b):
             pre = fx[:, hid : 2 * hid] + wco * c_new
         else:
             # gate layout of fx and fh: i, f, o, c; of fc: i, f
-            wh = np.concatenate([t.data for t in w_h])
-            wc = np.concatenate([t.data for t in w_c])
-            fh, ph = _dense_conv(h.data, wh, pad)
-            fc, pc = _dense_conv(c.data, wc, pad)
+            fh, ph = _dense_conv(h.data, w_h.data, pad)
+            fc, pc = _dense_conv(c.data, w_c.data, pad)
             ph, pc = (ph, pc) if keep else (None, None)
             pre = fx[:, :hid] + fh[:, :hid]
             pre += fc[:, :hid]
@@ -1035,47 +1001,46 @@ def conv_lstm_step(x, h, c, w_x, w_h, w_c, w_c_o, b):
         outs = (Tensor(o * tc), Tensor(c_new))
 
     def bias_grad(d):
-        return _unbroadcast(d, (1, hid, 1, 1)).reshape(hid)
+        return _unbroadcast(d, (1, d.shape[1], 1, 1)).reshape(-1)
 
-    def split(gw, parts):
-        return [None] * parts if gw is None else np.split(gw, parts)
+    def stacked(part):
+        # a zero-state gradient in the stacked gate layout: the forget rows,
+        # which the step does not use, get zeros
+        if part is None:
+            return None
+        out = np.zeros((4 * hid,) + part.shape[1:])
+        out[live] = part
+        return out
 
     def bw(g_h, g_c):
         # gate pre-activation gradients in the layout of fx; a slice gets
         # exactly one contribution, added to zero as the composition's
         # narrow gradients are
-        dgates = np.zeros((bsz, len(x_kernels) * hid, height, width))
-        dc, dwco, dbo = g_c, None, None
+        dgates = np.zeros((bsz, len(wx), height, width))
+        dc, dwco = g_c, None
         if g_h is not None:
             dt = g_h * o * (1.0 - tc * tc)
             dc = dt if dc is None else dc + dt
             dpre_o = g_h * tc * o * (1.0 - o)
-            dwco, dbo = bias_grad(dpre_o * c_new), bias_grad(dpre_o)
+            dwco = bias_grad(dpre_o * c_new)
             dc = dc + dpre_o * wco
             o_at = hid if h is None else 2 * hid
             dgates[:, o_at : o_at + hid] += dpre_o
-        dpre_c = dc * i * (1.0 - g * g)
-        dpre_i = dc * g * i * (1.0 - i)
-        dgates[:, -hid:] += dpre_c
-        dgates[:, :hid] += dpre_i
+        dgates[:, -hid:] += dc * i * (1.0 - g * g)
+        dgates[:, :hid] += dc * g * i * (1.0 - i)
         if h is not None:
-            dpre_f = dc * c.data * f * (1.0 - f)
-            dgates[:, hid : 2 * hid] += dpre_f
+            dgates[:, hid : 2 * hid] += dc * c.data * f * (1.0 - f)
         gx, gwx = _dense_conv_grads(dgates, px, xd.shape, wx, pad,
-                                    x.requires_grad,
-                                    any(t.requires_grad for t in x_kernels))
+                                    x.requires_grad, w_x.requires_grad)
         if h is None:
-            return (gx, *split(gwx, 3), dwco, bias_grad(dpre_i), dbo,
-                    bias_grad(dpre_c))
-        gh, gwh = _dense_conv_grads(dgates, ph, state, wh, pad, h.requires_grad,
-                                    any(t.requires_grad for t in w_h))
-        gcp, gwc = _dense_conv_grads(dgates[:, : 2 * hid], pc, state, wc, pad,
-                                     c.requires_grad,
-                                     any(t.requires_grad for t in w_c))
+            return gx, stacked(gwx), dwco, stacked(bias_grad(dgates))
+        gh, gwh = _dense_conv_grads(dgates, ph, state, w_h.data, pad,
+                                    h.requires_grad, w_h.requires_grad)
+        gcp, gwc = _dense_conv_grads(dgates[:, : 2 * hid], pc, state, w_c.data,
+                                     pad, c.requires_grad, w_c.requires_grad)
         if gcp is not None:
             gcp = dc * f + gcp
-        return (gx, gh, gcp, *split(gwx, 4), *split(gwh, 4), *split(gwc, 2),
-                dwco, bias_grad(dpre_i), bias_grad(dpre_f), dbo, bias_grad(dpre_c))
+        return gx, gh, gcp, gwx, gwh, gwc, dwco, bias_grad(dgates)
 
     return _register(outs, inputs, bw)
 
@@ -1097,7 +1062,7 @@ def backward(root):
         raise TapeError("tape already consumed")
     if root.size != 1:
         raise ShapeError("backward root must be scalar")
-    if root.node_id not in tape._produced:
+    if root not in tape._produced:
         raise TapeError("root is detached from the active tape")
 
     for outs, inputs, _ in tape.ops:
@@ -1119,15 +1084,9 @@ def backward(root):
     tape.consumed = True
 
     leaves = {}
-    seen = set()
     for _, inputs, _ in tape.ops:
         for t in inputs:
-            if (
-                t.requires_grad
-                and t.node_id not in tape._produced
-                and t.node_id not in seen
-            ):
-                seen.add(t.node_id)
+            if t.requires_grad and t not in tape._produced and t not in leaves:
                 leaves[t] = t.grad if t.grad is not None else np.zeros_like(t.data)
     return leaves
 
@@ -1136,10 +1095,10 @@ def backward(root):
 class GradCheckResult:
     """Outcome of a finite-difference check.
 
-    kink_events counts relu/max evaluations that landed within eps of a
+    kink_events counts relu/maxpool evaluations that landed within eps of a
     nondifferentiable point during the analytic pass. excluded_elements
     counts checked coordinates whose +eps and -eps evaluations took
-    different piecewise branches (a relu mask or max argmax flipped inside
+    different piecewise branches (a relu mask or maxpool argmax flipped inside
     the interval): central differences are meaningless across a kink, so
     those points are flagged and left out of the maximum, exactly as a
     kink-adjacent input is.
@@ -1149,9 +1108,6 @@ class GradCheckResult:
     kink_events: int
     elements_checked: int
     excluded_elements: int = 0
-
-    def __float__(self):
-        return float(self.max_rel_error)
 
 
 def _eval_scalar(f, params):
@@ -1265,9 +1221,14 @@ def tensor_from_bytes(buf, offset=0):
         raise FormatError("truncated tensor header") from exc
     if version != _VERSION:
         raise FormatError(f"unsupported tensor format version {version}")
-    count = int(np.prod(shape)) if rank else 1
+    count = math.prod(shape)  # exact: NumPy's int64 product can wrap to 0
     end = offset + 8 * count
     if end > len(buf):
         raise FormatError("truncated tensor payload")
     data = np.frombuffer(buf, dtype="<f8", count=count, offset=offset)
-    return Tensor(data.reshape(shape).copy()), end
+    try:
+        return Tensor(data.reshape(shape).copy()), end
+    except NonFiniteError as exc:
+        raise FormatError("non-finite tensor payload") from exc
+    except ValueError as exc:  # an empty array's other extents can be too large
+        raise FormatError(f"tensor extents {shape}: {exc}") from exc

@@ -53,15 +53,20 @@ def conv_lstm_step_oracle(x, h_prev, c_prev, p):
     def per_ch(v):
         return v.reshape(1, -1, 1, 1)
 
-    i = _sig(cv(x, p.w_x_i.data) + cv(h_prev, p.w_h_i.data)
-             + cv(c_prev, p.w_c_i.data) + per_ch(p.b_i.data))
-    f = _sig(cv(x, p.w_x_f.data) + cv(h_prev, p.w_h_f.data)
-             + cv(c_prev, p.w_c_f.data) + per_ch(p.b_f.data))
+    hid = p.w_c_o.shape[0]
+    # gate rows of the stacked tensors, in the order i, f, o, c
+    w_x_i, w_x_f, w_x_o, w_x_c = np.split(p.w_x.data, 4)
+    w_h_i, w_h_f, w_h_o, w_h_c = np.split(p.w_h.data, 4)
+    w_c_i, w_c_f = p.w_c.data[:hid], p.w_c.data[hid:]
+    b_i, b_f, b_o, b_c = np.split(p.b.data, 4)
+
+    i = _sig(cv(x, w_x_i) + cv(h_prev, w_h_i) + cv(c_prev, w_c_i) + per_ch(b_i))
+    f = _sig(cv(x, w_x_f) + cv(h_prev, w_h_f) + cv(c_prev, w_c_f) + per_ch(b_f))
     c_new = f * c_prev + i * np.tanh(
-        cv(x, p.w_x_c.data) + cv(h_prev, p.w_h_c.data) + per_ch(p.b_c.data)
+        cv(x, w_x_c) + cv(h_prev, w_h_c) + per_ch(b_c)
     )
-    o = _sig(cv(x, p.w_x_o.data) + cv(h_prev, p.w_h_o.data)
-             + per_ch(p.w_c_o.data) * c_new + per_ch(p.b_o.data))
+    o = _sig(cv(x, w_x_o) + cv(h_prev, w_h_o)
+             + per_ch(p.w_c_o.data) * c_new + per_ch(b_o))
     return o * np.tanh(c_new), c_new
 
 
@@ -71,33 +76,37 @@ def conv_lstm_step_composed(x, state, p):
     skips the zero h- and c-streams and the forget gate, as the step does."""
     hid = p.w_c_o.shape[0]
 
-    def conv_same(a, kernels):
-        w = T.concat(kernels, 0)
+    def conv_same(a, w):
         return T.conv2d(a, w, padding=(w.shape[-1] - 1) // 2)
+
+    def gate(t, k):  # gate k's rows of a stacked tensor
+        return T.narrow(t, 0, k * hid, hid)
 
     def per_ch(v):
         return T.reshape(v, (1, hid, 1, 1))
 
     if state is None:
-        from_x = conv_same(x, [p.w_x_i, p.w_x_o, p.w_x_c])
-        i = T.sigmoid(T.narrow(from_x, 1, 0, hid) + per_ch(p.b_i))
-        c_new = i * T.tanh(T.narrow(from_x, 1, 2 * hid, hid) + per_ch(p.b_c))
+        from_x = conv_same(x, T.concat([gate(p.w_x, 0), gate(p.w_x, 2),
+                                        gate(p.w_x, 3)], 0))
+        i = T.sigmoid(T.narrow(from_x, 1, 0, hid) + per_ch(gate(p.b, 0)))
+        c_new = i * T.tanh(T.narrow(from_x, 1, 2 * hid, hid)
+                           + per_ch(gate(p.b, 3)))
         o = T.sigmoid(T.narrow(from_x, 1, hid, hid)
-                      + per_ch(p.w_c_o) * c_new + per_ch(p.b_o))
+                      + per_ch(p.w_c_o) * c_new + per_ch(gate(p.b, 2)))
         return B.ConvLSTMState(hidden=o * T.tanh(c_new), cell=c_new)
 
     h_prev, c_prev = state.hidden, state.cell
-    from_x = conv_same(x, [p.w_x_i, p.w_x_f, p.w_x_o, p.w_x_c])
-    from_h = conv_same(h_prev, [p.w_h_i, p.w_h_f, p.w_h_o, p.w_h_c])
-    from_c = conv_same(c_prev, [p.w_c_i, p.w_c_f])
+    from_x = conv_same(x, p.w_x)
+    from_h = conv_same(h_prev, p.w_h)
+    from_c = conv_same(c_prev, p.w_c)
 
     def gate_h(k):
         return T.narrow(from_x, 1, k * hid, hid) + T.narrow(from_h, 1, k * hid, hid)
 
-    i = T.sigmoid(gate_h(0) + T.narrow(from_c, 1, 0, hid) + per_ch(p.b_i))
-    f = T.sigmoid(gate_h(1) + T.narrow(from_c, 1, hid, hid) + per_ch(p.b_f))
-    c_new = f * c_prev + i * T.tanh(gate_h(3) + per_ch(p.b_c))
-    o = T.sigmoid(gate_h(2) + per_ch(p.w_c_o) * c_new + per_ch(p.b_o))
+    i = T.sigmoid(gate_h(0) + T.narrow(from_c, 1, 0, hid) + per_ch(gate(p.b, 0)))
+    f = T.sigmoid(gate_h(1) + T.narrow(from_c, 1, hid, hid) + per_ch(gate(p.b, 1)))
+    c_new = f * c_prev + i * T.tanh(gate_h(3) + per_ch(gate(p.b, 3)))
+    o = T.sigmoid(gate_h(2) + per_ch(p.w_c_o) * c_new + per_ch(gate(p.b, 2)))
     return B.ConvLSTMState(hidden=o * T.tanh(c_new), cell=c_new)
 
 
@@ -560,8 +569,7 @@ class TestConvLSTM:
 
     def test_gate_saturation_carries_memory(self):
         p = zero_conv_lstm(1, 1)
-        p.b_f.data = np.array([20.0])
-        p.b_i.data = np.array([-20.0])
+        p.b.data = np.array([-20.0, 20.0, 0.0, 0.0])  # gates i, f, o, c
         rng = np.random.default_rng(10)
         cell = rng.uniform(-1, 1, (1, 1, 4, 4))
         state = B.ConvLSTMState(Tensor(np.zeros((1, 1, 4, 4))), Tensor(cell))
@@ -603,8 +611,7 @@ class TestConvLSTM:
     def test_none_state_equals_zero_state(self):
         rng = np.random.default_rng(18)
         p = B.init_conv_lstm(rng, 3, 2)
-        for bias in (p.b_i, p.b_f, p.b_o, p.b_c):
-            bias.data = rng.uniform(-1, 1, 2)
+        p.b.data = rng.uniform(-1, 1, 8)
         xdata = rng.uniform(-1, 1, (2, 3, 4, 5))
 
         def run(state):
@@ -621,20 +628,24 @@ class TestConvLSTM:
         eager, eager_grads = run(B.zero_state(2, 2, 4, 5))
         assert lazy.hidden.data.tobytes() == eager.hidden.data.tobytes()
         assert lazy.cell.data.tobytes() == eager.cell.data.tobytes()
-        for k in ("x", "w_x_i", "w_x_o", "w_x_c", "b_i", "b_o", "b_c", "w_c_o"):
+        for k in ("x", "w_c_o"):
             assert lazy_grads[k].tobytes() == eager_grads[k].tobytes(), k
-        # the skipped kernels and the unused forget gate get no gradient;
-        # the zero-state step gives them exact zeros
-        for k in ("w_h_i", "w_h_f", "w_h_o", "w_h_c", "w_c_i", "w_c_f", "w_x_f",
-                  "b_f"):
+        live, forget = np.r_[:2, 4:8], slice(2, 4)  # rows of gates i, o, c; f
+        for k in ("w_x", "b"):
+            assert lazy_grads[k][live].tobytes() == eager_grads[k][live].tobytes(), k
+            # the unused forget gate's rows get exact zeros from both steps
+            assert not lazy_grads[k][forget].any(), k
+            assert not eager_grads[k][forget].any(), k
+        # the skipped kernels get no gradient; the zero-state step gives them
+        # exact zeros
+        for k in ("w_h", "w_c"):
             assert lazy_grads[k] is None, k
             assert not eager_grads[k].any(), k
 
 
 def _random_conv_lstm(rng, cin, hidden, k=3):
     p = B.init_conv_lstm(rng, cin, hidden, k)
-    for bias in (p.b_i, p.b_f, p.b_o, p.b_c):
-        bias.data = rng.uniform(-1, 1, hidden)
+    p.b.data = rng.uniform(-1, 1, 4 * hidden)
     return p
 
 
@@ -732,14 +743,18 @@ class TestConvLSTMPrimitive:
                 B.conv_lstm_step(x, state, p)
         with pytest.raises(ShapeError):  # input channels
             B.conv_lstm_step(Tensor(np.zeros((2, 1, 4, 4))), None, p)
-        bad = {"w_h_o": np.zeros((3, 2, 3, 3)), "w_c_f": np.zeros((3, 3, 5, 5)),
-               "w_c_o": np.zeros((2,)), "b_f": np.zeros((3, 1)),
-               "w_x_c": np.zeros((3, 2, 2, 2))}
+        # one wrong shape per tensor: a gate short, the x-stream's channels
+        # in w_h, a kernel size the others do not share, a peephole of the
+        # wrong width, a bias that is not a vector
+        bad = {"w_x": np.zeros((9, 2, 3, 3)), "w_h": np.zeros((12, 2, 3, 3)),
+               "w_c": np.zeros((6, 3, 5, 5)), "w_c_o": np.zeros((2,)),
+               "b": np.zeros((12, 1))}
         for name, value in bad.items():
             q = B.init_conv_lstm(rng, 2, 3)
             setattr(q, name, Tensor(value))
-            with pytest.raises(ShapeError):
-                B.conv_lstm_step(x, B.zero_state(2, 3, 4, 4), q)
+            for state in (None, B.zero_state(2, 3, 4, 4)):
+                with pytest.raises(ShapeError):
+                    B.conv_lstm_step(x, state, q)
         q = B.init_conv_lstm(rng, 2, 3, k=2)  # even kernels
         with pytest.raises(ShapeError):
             B.conv_lstm_step(x, None, q)
@@ -751,8 +766,7 @@ class TestConvLSTMPrimitive:
         # outputs would let this overflow pass unseen
         rng = np.random.default_rng(33)
         p = B.init_conv_lstm(rng, 2, 2)
-        for w in (p.w_x_i, p.w_x_f, p.w_x_o, p.w_x_c):
-            w.data = w.data * 1e3
+        p.w_x.data = p.w_x.data * 1e3
         x = Tensor(np.full((1, 2, 4, 4), 1e306))
         with pytest.raises(NonFiniteError):
             fn(x, None, p)

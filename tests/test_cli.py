@@ -10,6 +10,8 @@ from hybridseg import model as M
 from hybridseg import pgm
 from hybridseg import train as TR
 
+from test_model import per_gate_checkpoint
+
 
 def run(*argv):
     return cli.run(list(argv))
@@ -236,6 +238,25 @@ class TestCheckpointFormat:
         if code == 0:
             assert (tmp_path / "old.pgm").read_bytes() == (
                 tmp_path / "new.pgm").read_bytes()
+
+    def test_per_gate_checkpoint(self, tmp_path, dataset_dir, capsys):
+        # the layout written before the ConvLSTM gates were stacked
+        ckpt = tiny_checkpoint(tmp_path / "ckpt")
+
+        def predict(checkpoint, out):
+            return run("predict", "--checkpoint", str(checkpoint), "--image",
+                       str(dataset_dir / "img_0000.pgm"), "--out",
+                       str(tmp_path / out))
+
+        assert predict(ckpt, "new.pgm") == 0
+        assert predict(per_gate_checkpoint(ckpt, tmp_path / "old"), "old.pgm") == 0
+        assert (tmp_path / "old.pgm").read_bytes() == (
+            tmp_path / "new.pgm").read_bytes()
+        broken = per_gate_checkpoint(ckpt, tmp_path / "broken",
+                                     "skip2.lstm.forward.w_h_o")
+        capsys.readouterr()
+        assert predict(broken, "broken.pgm") == 2
+        assert "skip2.lstm.forward.w_h_o" in capsys.readouterr().err
 
     def test_config_with_repeated_key(self, tmp_path, dataset_dir, capsys):
         ckpt = tiny_checkpoint(tmp_path / "ckpt")

@@ -58,6 +58,35 @@ def hand_count(cfg):
     return total
 
 
+def per_gate_checkpoint(src, dst, drop=None):
+    """Rewrite checkpoint src at dst in the layout written before the
+    ConvLSTM kernels were stacked per input stream: one record per gate
+    (*.w_x_i ... *.b_c), gates in the order i, f, o, c. The key drop, if
+    given, is left out."""
+    gates = {"w_x": "ifoc", "w_h": "ifoc", "w_c": "if", "b": "ifoc"}
+    flat = {}
+    for key, t in M.load_checkpoint_tensors(src).items():
+        prefix, name = key.rsplit(".", 1)
+        if ".lstm." in key and name in gates:
+            for g, part in zip(gates[name], np.split(t.data, len(gates[name]))):
+                flat[f"{prefix}.{name}_{g}"] = part
+        else:
+            flat[key] = t.data
+    if drop is not None:
+        del flat[drop]
+    dst.mkdir()
+    manifest, offset = [], 0
+    with open(dst / "tensors.bin", "wb") as fh:
+        for key in sorted(flat):
+            blob = T.tensor_to_bytes(flat[key])
+            manifest.append(f"{key} {'x'.join(map(str, flat[key].shape))} {offset}")
+            fh.write(blob)
+            offset += len(blob)
+    (dst / "manifest.txt").write_text("\n".join(manifest) + "\n")
+    (dst / "config.txt").write_bytes((src / "config.txt").read_bytes())
+    return dst
+
+
 class TestBuild:
     def test_deterministic(self):
         cfg = tiny_config()
@@ -376,6 +405,34 @@ class TestCheckpoint:
     def test_missing_directory(self, tmp_path):
         with pytest.raises(FormatError):
             M.load_checkpoint_tensors(tmp_path / "nope")
+
+    def test_per_gate_layout_loads_bitwise(self, tmp_path):
+        cfg = tiny_config(skip_sequence_mode="paired")
+        params = M.build(cfg, seed=15)
+        M.save_checkpoint(params, tmp_path / "new")
+        old = per_gate_checkpoint(tmp_path / "new", tmp_path / "old")
+        keys = [line.split()[0] for line in
+                (old / "manifest.txt").read_text().splitlines()]
+        assert "skip1.lstm.forward.w_x_i" in keys
+        assert "skip1.lstm.forward.w_x" not in keys
+        loaded = M.load_checkpoint(old).flat()
+        dst, report = M.transfer_weights(M.build(cfg, seed=16), old)
+        assert not report.skipped_shape and not report.missing
+        dst = dst.flat()
+        for k, t in params.flat().items():
+            assert loaded[k].data.tobytes() == t.data.tobytes(), k
+            assert dst[k].data.tobytes() == t.data.tobytes(), k
+
+    @pytest.mark.parametrize("drop", ["skip1.lstm.forward.w_x_i",
+                                      "skip3.lstm.backward.b_f",
+                                      "skip2.lstm.forward.w_c_f"])
+    def test_per_gate_layout_missing_gate(self, tmp_path, drop):
+        M.save_checkpoint(M.build(tiny_config(), seed=17), tmp_path / "new")
+        old = per_gate_checkpoint(tmp_path / "new", tmp_path / "old", drop)
+        with pytest.raises(FormatError, match=drop):
+            M.load_checkpoint(old)
+        with pytest.raises(FormatError, match=drop):
+            M.transfer_weights(M.build(tiny_config(), seed=18), old)
 
 
 class TestTransfer:
