@@ -22,11 +22,6 @@ def _conv_same(x, w):
     return T.conv2d(x, w, padding=(k - 1) // 2, groups=1)
 
 
-def _conv_same_depthwise(x, w):
-    k = w.shape[-1]
-    return T.conv2d(x, w, padding=(k - 1) // 2, groups=x.shape[1])
-
-
 def _per_channel(v, ndim=4):
     """Reshape a per-channel vector (C,) for NCHW broadcasting."""
     return T.reshape(v, (1, v.shape[0]) + (1,) * (ndim - 2))
@@ -66,32 +61,21 @@ def init_separable_conv(rng, in_ch, out_ch, k=3):
     )
 
 
-def separable_conv_bn(x, p, training, update_stats=None):
-    """Depthwise conv, pointwise 1x1 conv, then batch normalization.
+def separable_conv_bn(x, p, training, update_stats=None, relu=False):
+    """Depthwise conv, pointwise 1x1 conv, batch normalization, then a ReLU
+    when relu: one tape entry (tensor.separable_conv_bn).
 
     Training mode normalizes with batch statistics; inference mode with the
     stored running statistics. update_stats (default: same as training)
     controls whether running statistics are refreshed, so gradient checking
     can run the batch-statistics path without mutating state.
     """
-    if p.depthwise.shape[-1] % 2 == 0:
-        raise ShapeError("separable conv kernel size must be odd")
-    if x.shape[1] != p.depthwise.shape[0]:
-        raise ShapeError(
-            f"input channels {x.shape[1]} do not match depthwise {p.depthwise.shape}"
-        )
-    if training and x.shape[0] == 0:
-        raise ShapeError("zero batch in training mode")
     if update_stats is None:
         update_stats = training
-
-    y = _conv_same_depthwise(x, p.depthwise)
-    y = T.conv2d(y, p.pointwise, padding=0, groups=1)
-
     stats = None if training else (p.bn_running_mean.data,
                                    p.bn_running_var.data)
-    out, mu, var = T.normalize(y, p.bn_gamma, p.bn_beta, (0, 2, 3), p.bn_eps,
-                               stats)
+    out, mu, var = T.separable_conv_bn(x, p.depthwise, p.pointwise, p.bn_gamma,
+                                       p.bn_beta, p.bn_eps, stats, relu)
     if training and update_stats:
         m = p.bn_momentum
         p.bn_running_mean.data = (
@@ -113,7 +97,7 @@ def encoder_block(x, params_pair, training=False, update_stats=None):
         raise ShapeError("encoder block requires even spatial extents")
     h = x
     for p in params_pair:
-        h = T.relu(separable_conv_bn(h, p, training, update_stats))
+        h = separable_conv_bn(h, p, training, update_stats, relu=True)
     return h, T.maxpool2x2(h)
 
 
@@ -391,8 +375,7 @@ def _layer_norm(x, p):
 
 
 def _mlp(x, p):
-    h = T.relu(T.conv2d(x, p.w1, padding=0) + _per_channel(p.b1))
-    return T.conv2d(h, p.w2, padding=0) + _per_channel(p.b2)
+    return T.pointwise_mlp(x, p.w1, p.b1, p.w2, p.b2)
 
 
 def swin_block_pair(x, p):

@@ -221,9 +221,10 @@ def _swin_padded(x, sp):
     return y
 
 
-def _double_conv(x, pair, training, update_stats):
+def _double_conv(x, pair, training, update_stats, relu=False):
+    """Two separable conv + BN layers; relu applies a ReLU after the second."""
     h = B.separable_conv_bn(x, pair[0], training, update_stats)
-    return B.separable_conv_bn(h, pair[1], training, update_stats)
+    return B.separable_conv_bn(h, pair[1], training, update_stats, relu)
 
 
 def forward(params, x, training=False, update_stats=None):
@@ -242,14 +243,16 @@ def forward(params, x, training=False, update_stats=None):
         skips.append(skip)
 
     # densely connected bottleneck
-    b1 = T.relu(_double_conv(h, params.dense1, training, update_stats))
+    b1 = _double_conv(h, params.dense1, training, update_stats, relu=True)
     if params.dense2_swin is not None:
         mid = _swin_padded(b1, params.dense2_swin)
     else:
-        mid = T.relu(_double_conv(b1, params.dense2_conv, training, update_stats))
+        mid = _double_conv(b1, params.dense2_conv, training, update_stats,
+                           relu=True)
     b2 = T.concat([mid, b1], axis=1)
     b3 = T.concat(
-        [T.relu(_double_conv(b2, params.dense3, training, update_stats)), b1, b2],
+        [_double_conv(b2, params.dense3, training, update_stats, relu=True),
+         b1, b2],
         axis=1,
     )
 
@@ -410,12 +413,12 @@ def load_checkpoint_tensors(directory):
         try:
             key, shape_s, offset_s = line.split()
             offset = int(offset_s)
+            expect = tuple(int(v) for v in shape_s.split("x"))
         except ValueError as exc:
             raise FormatError(f"malformed manifest line: {line!r}") from exc
         if key in out:
             raise FormatError(f"manifest names {key} twice")
         t, end = T.tensor_from_bytes(buf, offset)
-        expect = tuple(int(v) for v in shape_s.split("x"))
         if t.shape != expect:
             raise FormatError(f"manifest shape {expect} != payload {t.shape}")
         out[key] = t

@@ -48,7 +48,10 @@ def _read_header(data, path):
             start = pos
             while pos < len(data) and data[pos : pos + 1].isdigit():
                 pos += 1
-            fields.append(int(data[start:pos]))
+            try:
+                fields.append(int(data[start:pos]))
+            except ValueError as exc:  # over Python's integer-string limit
+                raise FormatError(f"{path}: header field too long") from exc
         else:
             raise FormatError(f"{path}: malformed header byte {ch!r}")
     if pos >= len(data) or not data[pos : pos + 1].isspace():

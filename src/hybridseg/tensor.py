@@ -115,9 +115,6 @@ class Tensor:
     def __neg__(self):
         return neg(self)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _lift(x):
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
@@ -128,9 +125,10 @@ class Tape:
 
     Entries are (output tensors, input tensors, backward rule) appended in
     execution order; most ops have one output, conv_lstm_step has two.
-    ``kink_tol`` > 0 arms kink detection: relu and maxpool2x2 count
-    evaluations that land within the tolerance of a nondifferentiable point
-    (used by grad_check to flag excluded points).
+    ``kink_tol`` > 0 arms kink detection: the ReLUs inside
+    separable_conv_bn and pointwise_mlp, and maxpool2x2, count evaluations
+    that land within the tolerance of a nondifferentiable point (used by
+    grad_check to flag excluded points).
     """
 
     def __init__(self):
@@ -280,19 +278,6 @@ def neg(a):
     return _register(out, [a], lambda g: (-g,))
 
 
-def relu(a):
-    x = a.data
-    _kink_hook(lambda: float(np.min(np.abs(x))) if x.size else np.inf)
-    out = Tensor(np.maximum(x, 0.0))
-    mask = x > 0.0  # subgradient 0 at exactly 0
-    _pattern_hook(mask)
-
-    def bw(g):
-        return (g * mask,)
-
-    return _register(out, [a], bw)
-
-
 def _sigmoid(x):
     z = np.exp(-np.abs(x))  # never overflows
     return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
@@ -318,42 +303,8 @@ def tanh(a):
     return _register(out, [a], bw)
 
 
-def sqrt(a):
-    with np.errstate(invalid="ignore"):
-        y = np.sqrt(a.data)
-    out = Tensor(y)
-    return _register(out, [a], lambda g: (g * 0.5 / y,))
-
-
 # ---------------------------------------------------------------------------
 # structural primitives
-
-
-def matmul(a, b):
-    """Matrix product of two rank-2 tensors or two batched rank-3 tensors."""
-    da, db = a.data, b.data
-    need_a, need_b = a.requires_grad, b.requires_grad
-    if da.ndim == 2 and db.ndim == 2:
-        if da.shape[1] != db.shape[0]:
-            raise ShapeError(f"matmul inner extents {da.shape} x {db.shape}")
-
-        def bw(g):
-            return (g @ db.T if need_a else None,
-                    da.T @ g if need_b else None)
-
-    elif da.ndim == 3 and db.ndim == 3:
-        if da.shape[0] != db.shape[0] or da.shape[2] != db.shape[1]:
-            raise ShapeError(f"batched matmul extents {da.shape} x {db.shape}")
-
-        def bw(g):
-            return (g @ db.transpose(0, 2, 1) if need_a else None,
-                    da.transpose(0, 2, 1) @ g if need_b else None)
-
-    else:
-        raise ShapeError("matmul supports rank-2 or batched rank-3 operands")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = Tensor(da @ db)  # non-finite results raise in Tensor()
-    return _register(out, [a, b], bw)
 
 
 def concat(tensors, axis):
@@ -402,13 +353,6 @@ def narrow(a, axis, start, length):
 def reshape(a, shape):
     out = Tensor(a.data.reshape(shape))
     return _register(out, [a], lambda g: (g.reshape(a.shape),))
-
-
-def transpose(a, axes):
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-    out = Tensor(np.ascontiguousarray(a.data.transpose(axes)))
-    return _register(out, [a], lambda g: (g.transpose(inv),))
 
 
 def _norm_axes(axes, ndim):
@@ -499,9 +443,26 @@ def normalize(x, gamma, beta, axes, eps, stats=None):
         if any(np.size(s) != np.prod(reduced) for s in stats):
             raise ShapeError(f"normalize: stats do not match {reduced}")
         inputs = [x, gamma, beta]
-    # with no tape entry to make, centered is dropped right after its use
-    keep = _recording(inputs)
+    y, centered, std, mean, var = _normalize(xd, g4, b4, axes, reduced, eps,
+                                             stats, "normalize")
+    if not _recording(inputs):
+        centered = None  # no tape entry will need it
+    out = Tensor(y)
 
+    def bw(g):
+        gc, g_mean, g_gamma, g_beta = _normalize_grads(
+            g, centered, std, g4, reduced, count, stats is None)
+        if g_mean is None:
+            return gc, g_gamma, g_beta
+        return gc, g_mean, g_gamma, g_beta
+
+    return _register(out, inputs, bw), mean, var
+
+
+def _normalize(xd, g4, b4, axes, reduced, eps, stats, opname):
+    """normalize's forward on arrays: (y, centered, std, mean, var), with the
+    statistics of the reduced (keepdims) shape. Raises NonFiniteError naming
+    opname when the variance or the output is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         if stats is None:
             mean = xd.mean(axis=axes, keepdims=True)
@@ -510,34 +471,35 @@ def normalize(x, gamma, beta, axes, eps, stats=None):
         else:
             mean, var = (np.reshape(s, reduced) for s in stats)
             centered = xd - mean
-        _check_finite(var, "normalize variance")
+        _check_finite(var, f"{opname} variance")
         std = np.sqrt(var + eps)
         y = centered / std  # xhat
-        if not keep:
-            centered = None
         y *= g4
         y += b4
-        _check_finite(y, "normalize")
-    out = Tensor(y)
+        _check_finite(y, opname)
+    return y, centered, std, mean, var
 
-    def bw(g):
-        # xhat is recomputed, bit for bit, rather than held on the tape
-        xhat = centered / std
-        g_gamma = _unbroadcast(g * xhat, pshape).reshape(gamma.shape)
-        g_beta = _unbroadcast(g, pshape).reshape(beta.shape)
-        g_xhat = g * g4
-        gc = g_xhat / std
-        if stats is not None:
-            return gc, g_gamma, g_beta
-        g_std = _unbroadcast(-g_xhat * xhat / std, reduced)
-        g_sq = np.broadcast_to(g_std * 0.5 / std, xd.shape) / count
-        g_sq *= centered
-        gc += g_sq  # the two factors of centered * centered, one at a time
-        gc += g_sq
-        g_mean = np.broadcast_to(_unbroadcast(-gc, reduced), xd.shape) / count
-        return gc, g_mean, g_gamma, g_beta
 
-    return _register(out, inputs, bw), mean, var
+def _normalize_grads(g, centered, std, g4, reduced, count, batch_stats):
+    """normalize's backward on arrays, in the composition's order: (gc,
+    g_mean, g_gamma, g_beta). gc and g_mean are the centred-path and
+    mean-path input gradients; g_mean is None for given statistics."""
+    pshape = g4.shape
+    # xhat is recomputed, bit for bit, rather than held on the tape
+    xhat = centered / std
+    g_gamma = _unbroadcast(g * xhat, pshape).reshape(-1)
+    g_beta = _unbroadcast(g, pshape).reshape(-1)
+    g_xhat = g * g4
+    gc = g_xhat / std
+    if not batch_stats:
+        return gc, None, g_gamma, g_beta
+    g_std = _unbroadcast(-g_xhat * xhat / std, reduced)
+    g_sq = np.broadcast_to(g_std * 0.5 / std, centered.shape) / count
+    g_sq *= centered
+    gc += g_sq  # the two factors of centered * centered, one at a time
+    gc += g_sq
+    g_mean = np.broadcast_to(_unbroadcast(-gc, reduced), centered.shape) / count
+    return gc, g_mean, g_gamma, g_beta
 
 
 def pad2d(a, pads):
@@ -553,19 +515,20 @@ def pad2d(a, pads):
     return _register(out, [a], bw)
 
 
-def roll2d(a, shifts):
-    """Cyclic shift of the last two axes."""
-    sy, sx = shifts
-    out = Tensor(np.roll(a.data, (sy, sx), axis=(-2, -1)))
-
-    def bw(g):
-        return (np.roll(g, (-sy, -sx), axis=(-2, -1)),)
-
-    return _register(out, [a], bw)
-
-
 # ---------------------------------------------------------------------------
 # convolution primitives (stride 1 unless stated otherwise)
+
+
+def _pad_hw(xd, p):
+    """NCHW array xd zero-padded by p on both spatial axes: np.pad's result
+    without its fixed per-call cost, which is most of the time at these
+    sizes."""
+    if not p:
+        return xd
+    b, c, h, w = xd.shape
+    xp = np.zeros((b, c, h + 2 * p, w + 2 * p))
+    xp[:, :, p : p + h, p : p + w] = xd
+    return xp
 
 
 def _window_view(x, kh, kw):
@@ -587,7 +550,7 @@ def conv2d(x, w, padding=0, groups=1):
     xd, wd = x.data, w.data
     if xd.ndim != 4 or wd.ndim != 4:
         raise ShapeError("conv2d expects rank-4 input and kernel")
-    b, cin, h, wth = xd.shape
+    _, cin, h, wth = xd.shape
     cout, cper, kh, kw = wd.shape
     if groups == 1:
         depthwise = False
@@ -606,70 +569,102 @@ def conv2d(x, w, padding=0, groups=1):
     p = int(padding)
     if h + 2 * p < kh or wth + 2 * p < kw:
         raise ShapeError("conv2d spatial extents smaller than kernel")
+    if p and kh == 1 and kw == 1 and not depthwise:
+        raise ShapeError("padding is meaningless for a 1x1 kernel")
     need_x, need_w = x.requires_grad, w.requires_grad
-
-    if kh == 1 and kw == 1 and not depthwise:
-        # pointwise: a channel-mixing matmul, no patch gather needed
-        if p:
-            raise ShapeError("padding is meaningless for a 1x1 kernel")
-        w2 = wd.reshape(cout, cin)
-        with np.errstate(over="ignore", invalid="ignore"):
-            y = np.tensordot(xd, w2, axes=([1], [1])).transpose(0, 3, 1, 2)
-        out = Tensor(np.ascontiguousarray(y))
-
-        def bw(g):
-            gx = gw = None
-            if need_x:
-                gx = np.ascontiguousarray(
-                    np.tensordot(g, w2, axes=([1], [0])).transpose(0, 3, 1, 2)
-                )
-            if need_w:
-                gw = np.tensordot(g, xd, axes=([0, 2, 3], [0, 2, 3]))
-                gw = gw.reshape(wd.shape)
-            return gx, gw
-
-        return _register(out, [x, w], bw)
-
-    if depthwise:
-        xp = np.pad(xd, ((0, 0), (0, 0), (p, p), (p, p))) if p else xd
-        # per-tap multiply-add beats materializing the patch tensor
-        ho, wo = h + 2 * p - kh + 1, wth + 2 * p - kw + 1
-        y = np.zeros((b, cin, ho, wo))
-        for ki in range(kh):
-            for kj in range(kw):
-                y += xp[:, :, ki : ki + ho, kj : kj + wo] * wd[None, :, 0, ki, kj, None, None]
-        out = Tensor(y)
-
-        def bw(g):
-            gx = gw = None
-            if need_x:
-                gxp = np.zeros_like(xp)
-                for ki in range(kh):
-                    for kj in range(kw):
-                        gxp[:, :, ki : ki + ho, kj : kj + wo] += (
-                            g * wd[None, :, 0, ki, kj, None, None]
-                        )
-                gx = gxp[:, :, p : p + h, p : p + wth] if p else gxp
-                gx = np.ascontiguousarray(gx)
-            if need_w:
-                gw = np.empty_like(wd)
-                for ki in range(kh):
-                    for kj in range(kw):
-                        gw[:, 0, ki, kj] = (
-                            g * xp[:, :, ki : ki + ho, kj : kj + wo]
-                        ).sum(axis=(0, 2, 3))
-            return gx, gw
-
-        return _register(out, [x, w], bw)
-
-    y, patches = _dense_conv(xd, wd, p)
+    y, patches = _conv(xd, wd, p, depthwise)
     out = Tensor(y)
 
     def bw(g):
-        return _dense_conv_grads(g, patches, (b, cin, h, wth), wd, p, need_x,
-                                 need_w)
+        return _conv_grads(g, xd, wd, p, depthwise, patches, need_x, need_w)
 
     return _register(out, [x, w], bw)
+
+
+def _conv(xd, wd, p, depthwise):
+    """conv2d's forward on arrays: (y, patches). A depthwise kernel runs tap
+    by tap, a dense 1x1 kernel as one channel-mixing product, any other
+    dense kernel as a GEMM on the patch matrix, which is returned for the
+    backward (None on the other paths). Overflow is left to the caller's
+    finiteness check."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if depthwise:
+            return _depthwise_conv(xd, wd, p), None
+        if wd.shape[2:] == (1, 1):
+            y = np.tensordot(xd, wd.reshape(wd.shape[0], -1), axes=([1], [1]))
+            return np.ascontiguousarray(y.transpose(0, 3, 1, 2)), None
+        return _dense_conv(xd, wd, p)
+
+
+def _conv_grads(g, xd, wd, p, depthwise, patches, need_x, need_w):
+    """(input, kernel) gradients of _conv from the output gradient g, None
+    where not needed; a dense kernel's patch matrix is gathered again from
+    xd when patches is None."""
+    if depthwise:
+        return _depthwise_conv_grads(g, xd, wd, p, need_x, need_w)
+    cout, _, kh, kw = wd.shape
+    if (kh, kw) == (1, 1):
+        w2 = wd.reshape(cout, -1)
+        gx = gw = None
+        if need_x:
+            gx = np.ascontiguousarray(
+                np.tensordot(g, w2, axes=([1], [0])).transpose(0, 3, 1, 2)
+            )
+        if need_w:
+            gw = np.tensordot(g, xd, axes=([0, 2, 3], [0, 2, 3]))
+            gw = gw.reshape(wd.shape)
+        return gx, gw
+    if patches is None and need_w:
+        patches = _patches(xd, kh, kw, p)
+    return _dense_conv_grads(g, patches, xd.shape, wd, p, need_x, need_w)
+
+
+def _depthwise_conv(xd, wd, p):
+    """Per-channel cross-correlation of xd with wd (C, 1, kh, kw), zero
+    padding p: a multiply-add per tap beats materializing the patches."""
+    b, c, h, w = xd.shape
+    kh, kw = wd.shape[2:]
+    xp = _pad_hw(xd, p)
+    ho, wo = h + 2 * p - kh + 1, w + 2 * p - kw + 1
+    y = np.zeros((b, c, ho, wo))
+    for ki in range(kh):
+        for kj in range(kw):
+            y += xp[:, :, ki : ki + ho, kj : kj + wo] * wd[None, :, 0, ki, kj, None, None]
+    return y
+
+
+def _depthwise_conv_grads(g, xd, wd, p, need_x, need_w):
+    """(input, kernel) gradients of _depthwise_conv; the padded input is
+    rebuilt from xd, so no tape entry holds a padded copy."""
+    b, c, h, w = xd.shape
+    kh, kw = wd.shape[2:]
+    ho, wo = g.shape[2:]
+    gx = gw = None
+    if need_x:
+        gxp = np.zeros((b, c, h + 2 * p, w + 2 * p))
+        for ki in range(kh):
+            for kj in range(kw):
+                gxp[:, :, ki : ki + ho, kj : kj + wo] += (
+                    g * wd[None, :, 0, ki, kj, None, None]
+                )
+        gx = np.ascontiguousarray(gxp[:, :, p : p + h, p : p + w]) if p else gxp
+    if need_w:
+        xp = _pad_hw(xd, p)
+        gw = np.empty_like(wd)
+        for ki in range(kh):
+            for kj in range(kw):
+                gw[:, 0, ki, kj] = (
+                    g * xp[:, :, ki : ki + ho, kj : kj + wo]
+                ).sum(axis=(0, 2, 3))
+    return gx, gw
+
+
+def _patches(xd, kh, kw, p):
+    """(B*Ho*Wo, Cin*kh*kw) patch matrix of NCHW array xd, zero padding p."""
+    b, cin = xd.shape[:2]
+    xp = _pad_hw(xd, p)
+    win = _window_view(xp, kh, kw).transpose(0, 4, 5, 1, 2, 3)
+    return win.reshape(b * win.shape[1] * win.shape[2], cin * kh * kw)
 
 
 def _dense_conv(xd, wd, p):
@@ -679,12 +674,10 @@ def _dense_conv(xd, wd, p):
     the (B, Cout, Ho, Wo) output: _dense_conv_grads needs it for the kernel
     gradient. Overflow is left to the caller's finiteness check.
     """
-    b, cin, h, w = xd.shape
+    b, _, h, w = xd.shape
     cout, _, kh, kw = wd.shape
-    xp = np.pad(xd, ((0, 0), (0, 0), (p, p), (p, p))) if p else xd
     ho, wo = h + 2 * p - kh + 1, w + 2 * p - kw + 1
-    patches = _window_view(xp, kh, kw).transpose(0, 4, 5, 1, 2, 3)
-    patches = patches.reshape(b * ho * wo, cin * kh * kw)
+    patches = _patches(xd, kh, kw, p)
     with np.errstate(over="ignore", invalid="ignore"):
         y = (patches @ wd.reshape(cout, -1).T).reshape(b, ho, wo, cout)
     return np.ascontiguousarray(y.transpose(0, 3, 1, 2)), patches
@@ -766,6 +759,141 @@ def maxpool2x2(x):
         return (np.ascontiguousarray(buf).reshape(b, c, h, w),)
 
     return _register(out, [x], bw)
+
+
+# ---------------------------------------------------------------------------
+# fused convolution blocks
+
+
+def separable_conv_bn(x, dw, pw, gamma, beta, eps, stats=None, relu=False):
+    """Depthwise conv, pointwise conv, batch norm and an optional ReLU, as
+    one tape entry.
+
+    x: (B, Cin, H, W); dw: (Cin, 1, k, k), k odd, run with 'same' zero
+    padding; pw: (Cout, Cin, 1, 1); gamma, beta: (Cout,). The normalization
+    is over axes (0, 2, 3), with batch statistics or the given stats = (mean,
+    var), as in normalize. Returns (out, mean, var) as normalize does.
+
+    The forward repeats the NumPy sequence of conv2d(groups=Cin), conv2d,
+    normalize and relu, so outputs are bitwise equal to that composition;
+    with one input channel, conv2d(groups=1) takes its dense path, and so
+    does this. The backward is written out in the composition's order. The
+    entry keeps the depthwise output, the centred pointwise output and the
+    ReLU mask; the depthwise backward pads x again.
+    """
+    xd, dwd, pwd = x.data, dw.data, pw.data
+    if xd.ndim != 4 or dwd.ndim != 4 or pwd.ndim != 4:
+        raise ShapeError("separable_conv_bn expects rank-4 input and kernels")
+    b, cin, h, w = xd.shape
+    k, cout = dwd.shape[-1], pwd.shape[0]
+    if (k % 2 == 0 or dwd.shape != (cin, 1, k, k)
+            or pwd.shape != (cout, cin, 1, 1) or gamma.shape != (cout,)
+            or beta.shape != (cout,)):
+        raise ShapeError(
+            f"separable_conv_bn: input {xd.shape} with depthwise {dwd.shape}, "
+            f"pointwise {pwd.shape}, gamma {gamma.shape} and beta {beta.shape}"
+        )
+    if h == 0 or w == 0 or (stats is None and b == 0):
+        raise ShapeError(f"separable_conv_bn: no pixels to normalize in {xd.shape}")
+    reduced = (1, cout, 1, 1)
+    if stats is not None and any(np.size(s) != cout for s in stats):
+        raise ShapeError(f"separable_conv_bn: stats do not match {reduced}")
+    p = (k - 1) // 2
+    depthwise = cin > 1  # conv2d(groups=1) takes its dense paths
+    g4, b4 = gamma.data.reshape(reduced), beta.data.reshape(reduced)
+    inputs = [x, dw, pw, gamma, beta]
+    keep = _recording(inputs)
+
+    # with no tape entry to make, each intermediate is dropped after its use
+    y1, _ = _conv(xd, dwd, p, depthwise)
+    _check_finite(y1, "separable_conv_bn depthwise")
+    y2, _ = _conv(y1, pwd, 0, False)
+    _check_finite(y2, "separable_conv_bn pointwise")
+    y1 = y1 if keep else None
+    y, centered, std, mean, var = _normalize(
+        y2, g4, b4, (0, 2, 3), reduced, eps, stats, "separable_conv_bn")
+    del y2
+    centered = centered if keep else None
+    mask = None
+    if relu:
+        _kink_hook(lambda: float(np.min(np.abs(y))) if y.size else np.inf)
+        mask = y > 0.0  # subgradient 0 at exactly 0
+        _pattern_hook(mask)
+        np.maximum(y, 0.0, out=y)
+        mask = mask if keep else None
+    out = Tensor(y)
+    need_x, need_dw, need_pw = x.requires_grad, dw.requires_grad, pw.requires_grad
+
+    def bw(g):
+        if relu:
+            g = g * mask
+        gc, g_mean, g_gamma, g_beta = _normalize_grads(
+            g, centered, std, g4, reduced, b * h * w, stats is None)
+        # the composition adds the mean-path gradient to the centred one
+        g2 = gc if g_mean is None else gc + g_mean
+        g1, g_pw = _conv_grads(g2, y1, pwd, 0, False, None, need_x or need_dw,
+                               need_pw)
+        gx = g_dw = None
+        if g1 is not None:
+            gx, g_dw = _conv_grads(g1, xd, dwd, p, depthwise, None, need_x,
+                                   need_dw)
+        return gx, g_dw, g_pw, g_gamma, g_beta
+
+    return _register(out, inputs, bw), mean, var
+
+
+def pointwise_mlp(x, w1, b1, w2, b2):
+    """relu(x . w1 + b1) . w2 + b2 over the channels of an NCHW map, as one
+    tape entry.
+
+    x: (B, C, H, W); w1: (hidden, C, 1, 1), b1: (hidden,); w2: (Cout,
+    hidden, 1, 1), b2: (Cout,). The forward repeats the NumPy sequence of
+    the same MLP composed from conv2d, reshape, add and relu, so outputs are
+    bitwise equal to it; the backward is written out in that composition's
+    order from x and the hidden activation, the only arrays the entry keeps.
+    """
+    xd = x.data
+    hid, dout = w1.shape[0] if w1.ndim else 0, w2.shape[0] if w2.ndim else 0
+    cin = xd.shape[1] if xd.ndim == 4 else -1
+    if (w1.shape, b1.shape, w2.shape, b2.shape) != (
+        (hid, cin, 1, 1), (hid,), (dout, hid, 1, 1), (dout,)
+    ):
+        raise ShapeError(
+            f"pointwise_mlp: input {xd.shape} with weights {w1.shape}, "
+            f"{w2.shape} and biases {b1.shape}, {b2.shape}"
+        )
+    inputs = [x, w1, b1, w2, b2]
+    keep = _recording(inputs)
+    need_hidden = x.requires_grad or w1.requires_grad or b1.requires_grad
+
+    # a conv output that is not finite stays so after a finite bias
+    with np.errstate(over="ignore", invalid="ignore"):
+        hidden, _ = _conv(xd, w1.data, 0, False)
+        hidden += b1.data.reshape(1, hid, 1, 1)
+        _check_finite(hidden, "pointwise_mlp hidden layer")
+        _kink_hook(lambda: float(np.min(np.abs(hidden))) if hidden.size else np.inf)
+        _pattern_hook(hidden > 0.0)
+        np.maximum(hidden, 0.0, out=hidden)
+        y, _ = _conv(hidden, w2.data, 0, False)
+        y += b2.data.reshape(1, dout, 1, 1)
+        _check_finite(y, "pointwise_mlp")
+    if not keep:
+        hidden = None  # no tape entry will need it
+    out = Tensor(y)
+
+    def bw(g):
+        g_b2 = _unbroadcast(g, (1, dout, 1, 1)).reshape(-1)
+        gh, g_w2 = _conv_grads(g, hidden, w2.data, 0, False, None, need_hidden,
+                               w2.requires_grad)
+        if gh is None:
+            return None, None, None, g_w2, g_b2
+        gh *= hidden > 0.0  # the ReLU mask, from its output
+        g_b1 = _unbroadcast(gh, (1, hid, 1, 1)).reshape(-1)
+        gx, g_w1 = _conv_grads(gh, xd, w1.data, 0, False, None,
+                               x.requires_grad, w1.requires_grad)
+        return gx, g_w1, g_b1, g_w2, g_b2
+
+    return _register(out, inputs, bw)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import taped_ops as O
 from hybridseg import blocks as B
 from hybridseg import model as M
 from hybridseg import tensor as T
@@ -180,7 +181,7 @@ def _shift_attention_mask(height, width, n, shift):
 
 def _tokens_linear(tokens, w, bias=None):
     b, t, d = tokens.shape
-    out = T.matmul(T.reshape(tokens, (b * t, d)), w)
+    out = O.matmul(T.reshape(tokens, (b * t, d)), w)
     if bias is not None:
         out = out + T.reshape(bias, (1, bias.shape[0]))
     return T.reshape(out, (b, t, w.shape[1]))
@@ -197,22 +198,22 @@ def window_attention_composed(x, p, shifted):
     shift = p.shift if shifted else 0
 
     if shift:
-        x = T.roll2d(x, (-shift, -shift))
+        x = O.roll2d(x, (-shift, -shift))
     t = T.reshape(x, (b, c, height // n, n, width // n, n))
-    t = T.transpose(t, (0, 2, 4, 3, 5, 1))
+    t = O.transpose(t, (0, 2, 4, 3, 5, 1))
     tokens = T.reshape(t, (b * (height // n) * (width // n), n * n, c))
     bw, tcount, _ = tokens.shape
     qkv = _tokens_linear(tokens, attn_p.qkv_w)
 
     def heads_of(part):
         t = T.reshape(part, (bw, tcount, heads, hd))
-        return T.reshape(T.transpose(t, (0, 2, 1, 3)), (bw * heads, tcount, hd))
+        return T.reshape(O.transpose(t, (0, 2, 1, 3)), (bw * heads, tcount, hd))
 
     q = heads_of(T.narrow(qkv, 2, 0, c) + T.reshape(attn_p.q_bias, (1, 1, c)))
     k = heads_of(T.narrow(qkv, 2, c, c))
     v = heads_of(T.narrow(qkv, 2, 2 * c, c) + T.reshape(attn_p.v_bias, (1, 1, c)))
 
-    scores = T.matmul(q, T.transpose(k, (0, 2, 1))) * (1.0 / math.sqrt(hd))
+    scores = O.matmul(q, O.transpose(k, (0, 2, 1))) * (1.0 / math.sqrt(hd))
     if shift:
         nw = (height // n) * (width // n)
         mask = Tensor(
@@ -221,16 +222,16 @@ def window_attention_composed(x, p, shifted):
         )
         scores = T.reshape(scores, (b, nw, heads, tcount, tcount)) + mask
         scores = T.reshape(scores, (bw * heads, tcount, tcount))
-    ctx = T.matmul(T.softmax(scores, axis=2), v)  # (BW*heads, T, hd)
+    ctx = O.matmul(T.softmax(scores, axis=2), v)  # (BW*heads, T, hd)
 
     ctx = T.reshape(ctx, (bw, heads, tcount, hd))
-    ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (bw, tcount, c))
+    ctx = T.reshape(O.transpose(ctx, (0, 2, 1, 3)), (bw, tcount, c))
     out = _tokens_linear(ctx, attn_p.proj_w, attn_p.proj_b)
     t = T.reshape(out, (b, height // n, width // n, n, n, c))
-    t = T.transpose(t, (0, 5, 1, 3, 2, 4))
+    t = O.transpose(t, (0, 5, 1, 3, 2, 4))
     out = T.reshape(t, (b, c, height, width))
     if shift:
-        out = T.roll2d(out, (shift, shift))
+        out = O.roll2d(out, (shift, shift))
     return out
 
 
@@ -247,7 +248,7 @@ def normalize_composed(x, gamma, beta, axes, eps, stats=None):
         reduced = tuple(1 if i in axes else s for i, s in enumerate(x.shape))
         mu, var = (Tensor(np.reshape(s, reduced)) for s in stats)
         centered = x - mu
-    xhat = centered / T.sqrt(var + eps)
+    xhat = centered / O.sqrt(var + eps)
     return T.reshape(gamma, per_ch) * xhat + T.reshape(beta, per_ch)
 
 
@@ -261,6 +262,28 @@ def batch_norm_composed(y, p, training):
 def layer_norm_composed(x, p):
     """blocks._layer_norm: per-position normalization over channels."""
     return normalize_composed(x, p.gamma, p.beta, [1], p.eps)
+
+
+def separable_conv_bn_composed(x, dw, pw, gamma, beta, eps, stats=None,
+                               relu=False):
+    """T.separable_conv_bn composed from taped ops, in its signature: the
+    reference for its forward bits and hand-written backward."""
+    k = dw.shape[-1]
+    y = T.conv2d(x, dw, padding=(k - 1) // 2, groups=x.shape[1])
+    y = T.conv2d(y, pw)
+    out, mean, var = T.normalize(y, gamma, beta, (0, 2, 3), eps, stats)
+    return (O.relu(out) if relu else out), mean, var
+
+
+def mlp_composed(x, w1, b1, w2, b2):
+    """T.pointwise_mlp composed from taped ops, in its signature: the
+    reference for its forward bits and hand-written backward."""
+
+    def per_ch(v):
+        return T.reshape(v, (1, v.shape[0], 1, 1))
+
+    h = O.relu(T.conv2d(x, w1) + per_ch(b1))
+    return T.conv2d(h, w2) + per_ch(b2)
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +531,250 @@ class TestNormalizePrimitive:
         with pytest.raises(ShapeError):
             T.normalize(Tensor(np.zeros((0, 3, 4, 4))), ones, ones, (0, 2, 3),
                         1e-5)
+
+
+def _leaf_grads(fn, leaves, weights):
+    """Output, extra outputs and leaf gradients of sum(weights * out) with
+    (out, *extra) = fn(*leaves); a leaf that needs no gradient gets None."""
+    for t in leaves:
+        t.grad = None
+    with T.record():
+        res = fn(*leaves)
+        out, extra = (res[0], res[1:]) if isinstance(res, tuple) else (res, ())
+        T.backward(T.tsum(out * Tensor(weights)))
+    return out.data, extra, [t.grad for t in leaves]
+
+
+def _assert_same(a, b):
+    (out, extra, grads), (ref, ref_extra, ref_grads) = a, b
+    assert np.array_equal(out, ref)
+    for e, r in zip(extra, ref_extra):
+        assert np.array_equal(e, r)
+    for g, r in zip(grads, ref_grads):
+        assert (g is None and r is None) or np.array_equal(g, r)
+
+
+def _sepconv_leaves(rng, cin, cout, k, x_shape, x_grad):
+    x = Tensor(rng.uniform(-2, 2, x_shape), requires_grad=x_grad)
+    dw = Tensor(rng.normal(0, 1, (cin, 1, k, k)), requires_grad=True)
+    pw = Tensor(rng.normal(0, 1, (cout, cin, 1, 1)), requires_grad=True)
+    gamma = Tensor(rng.uniform(0.5, 2, cout), requires_grad=True)
+    beta = Tensor(rng.uniform(-1, 1, cout), requires_grad=True)
+    return [x, dw, pw, gamma, beta]
+
+
+class TestSeparableConvPrimitive:
+    @settings(deadline=None, max_examples=80)
+    @given(batch=st.integers(1, 3), cin=st.integers(1, 4), cout=st.integers(1, 4),
+           height=st.integers(1, 6), width=st.integers(1, 6),
+           k=st.sampled_from([1, 3]), relu=st.booleans(),
+           given_stats=st.booleans(), x_grad=st.booleans(),
+           seed=st.integers(0, 2**16))
+    @example(batch=2, cin=1, cout=3, height=4, width=5, k=3, relu=True,
+             given_stats=False, x_grad=False, seed=1)
+    @example(batch=2, cin=1, cout=3, height=4, width=5, k=3, relu=False,
+             given_stats=True, x_grad=True, seed=2)
+    @example(batch=2, cin=3, cout=2, height=5, width=4, k=3, relu=True,
+             given_stats=True, x_grad=False, seed=3)
+    @example(batch=2, cin=3, cout=2, height=5, width=4, k=3, relu=False,
+             given_stats=False, x_grad=True, seed=4)
+    def test_matches_composition(self, batch, cin, cout, height, width, k, relu,
+                                 given_stats, x_grad, seed):
+        # cin == 1 is conv2d's dense path, cin > 1 its depthwise one
+        rng = np.random.default_rng(seed)
+        leaves = _sepconv_leaves(rng, cin, cout, k, (batch, cin, height, width),
+                                 x_grad)
+        stats = (rng.uniform(-1, 1, cout), rng.uniform(0.1, 2, cout)) \
+            if given_stats else None
+        weights = rng.uniform(-1, 1, (batch, cout, height, width))
+        results = [
+            _leaf_grads(lambda *a, fn=fn: fn(*a, 1e-3, stats, relu), leaves,
+                        weights)
+            for fn in (T.separable_conv_bn, separable_conv_bn_composed)
+        ]
+        _assert_same(*results)
+        if not x_grad:
+            assert results[0][2][0] is None
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("placement", ["skips_and_dense", "none"])
+    def test_model_step_matches_composition(self, monkeypatch, training,
+                                            placement):
+        # every separable conv and Swin MLP of a model, both input-channel
+        # paths and the ReLU-fused bottleneck convs among them
+        cfg = M.ModelConfig(input_height=16, input_width=16, base_channels=2,
+                            num_classes=3, window_size=2, num_heads=2,
+                            mlp_ratio=2.0, transformer_placement=placement)
+        xdata = np.random.default_rng(46).uniform(0, 1, (2, 1, 16, 16))
+
+        def run():
+            params = M.build(cfg, 3)
+            leaves = list(params.trainable().values())
+            x = Tensor(xdata, requires_grad=True)
+            with T.record():
+                out = M.forward(params, x, training=training)
+                T.backward(T.tsum(out * out))
+            flat = params.flat()
+            return ([out.data, x.grad] + [t.grad for t in leaves]
+                    + [flat[k].data for k in sorted(flat)])
+
+        fused = run()
+        monkeypatch.setattr(T, "separable_conv_bn", separable_conv_bn_composed)
+        monkeypatch.setattr(T, "pointwise_mlp", mlp_composed)
+        composed = run()
+        assert len(fused) == len(composed)
+        for a, b in zip(fused, composed):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("relu", [True, False])
+    @pytest.mark.parametrize("cin", [1, 3])
+    def test_one_tape_entry(self, relu, cin):
+        leaves = _sepconv_leaves(np.random.default_rng(47), cin, 2, 3,
+                                 (2, cin, 4, 4), True)
+        with T.record() as tape:
+            T.separable_conv_bn(*leaves, 1e-5, None, relu)
+        assert len(tape) == 1
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("cin", [1, 2])
+    def test_grad_check(self, training, cin):
+        rng = np.random.default_rng(48)
+        p = B.init_separable_conv(rng, cin, 3)
+        p.bn_running_mean.data = rng.uniform(-1, 1, 3)
+        p.bn_running_var.data = rng.uniform(0.5, 2, 3)
+        x = Tensor(rng.uniform(-1, 1, (2, cin, 4, 4)), requires_grad=True)
+        leaves = [x] + [t for t in B.params_of(p).values() if t.requires_grad]
+        weights = Tensor(rng.uniform(-1, 1, (2, 3, 4, 4)))
+
+        def f(*_):
+            out = B.separable_conv_bn(x, p, training, update_stats=False,
+                                      relu=True)
+            return T.tsum(out * weights) * 0.1
+
+        assert grad_check(f, leaves, eps=1e-5).max_rel_error <= 1e-4
+
+    def test_grad_check_excludes_relu_flip(self):
+        # one pre-ReLU output is shifted to zero through beta, so the +eps
+        # and -eps evaluations of beta[0] fall on either side of the kink
+        rng = np.random.default_rng(49)
+        leaves = _sepconv_leaves(rng, 2, 3, 3, (2, 2, 4, 4), True)
+        beta = leaves[4]
+        pre = T.separable_conv_bn(*leaves, 1e-2)[0].data
+        beta.data = beta.data - np.array([pre[0, 0, 1, 2], 0.0, 0.0])
+        weights = Tensor(rng.uniform(-1, 1, (2, 3, 4, 4)))
+        results = [
+            grad_check(lambda *_, fn=fn: T.tsum(
+                fn(*leaves, 1e-2, None, True)[0] * weights), leaves, eps=1e-5)
+            for fn in (T.separable_conv_bn, separable_conv_bn_composed)
+        ]
+        assert results[0] == results[1]  # same kinks, exclusions and error
+        assert results[0].kink_events >= 1 and results[0].excluded_elements >= 1
+        assert results[0].max_rel_error <= 1e-4
+
+    def test_overflow_raises_non_finite_naming_the_op(self):
+        leaves = _sepconv_leaves(np.random.default_rng(50), 2, 2, 3,
+                                 (2, 2, 3, 3), True)
+        leaves[0].data = np.full((2, 2, 3, 3), 1e300)
+        leaves[1].data = np.full((2, 1, 3, 3), 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFiniteError, match="separable_conv_bn"):
+                T.separable_conv_bn(*leaves, 1e-5)
+
+    def test_rejects_bad_shapes(self):
+        x, dw, pw, gamma, beta = _sepconv_leaves(np.random.default_rng(51), 2,
+                                                 3, 3, (2, 2, 4, 4), True)
+        good = [x, dw, pw, gamma, beta]
+        bad = {
+            0: Tensor(np.zeros((2, 3, 4, 4))),
+            1: Tensor(np.zeros((2, 1, 2, 2))),
+            2: Tensor(np.zeros((3, 1, 1, 1))),
+            3: Tensor(np.ones(2)),
+            4: Tensor(np.zeros(4)),
+        }
+        for i, t in bad.items():
+            args = list(good)
+            args[i] = t
+            with pytest.raises(ShapeError):
+                T.separable_conv_bn(*args, 1e-5)
+        with pytest.raises(ShapeError):
+            T.separable_conv_bn(Tensor(np.zeros((0, 2, 4, 4))), dw, pw, gamma,
+                                beta, 1e-5)
+        with pytest.raises(ShapeError):
+            T.separable_conv_bn(*good, 1e-5, (np.zeros(2), np.ones(2)))
+
+
+def _mlp_leaves(rng, cin, hidden, cout, x_shape, x_grad):
+    return [Tensor(rng.uniform(-2, 2, x_shape), requires_grad=x_grad),
+            Tensor(rng.normal(0, 1, (hidden, cin, 1, 1)), requires_grad=True),
+            Tensor(rng.uniform(-1, 1, hidden), requires_grad=True),
+            Tensor(rng.normal(0, 1, (cout, hidden, 1, 1)), requires_grad=True),
+            Tensor(rng.uniform(-1, 1, cout), requires_grad=True)]
+
+
+class TestPointwiseMlpPrimitive:
+    @settings(deadline=None, max_examples=60)
+    @given(batch=st.integers(1, 3), cin=st.integers(1, 5),
+           hidden=st.integers(1, 8), cout=st.integers(1, 5),
+           height=st.integers(1, 5), width=st.integers(1, 5),
+           x_grad=st.booleans(), seed=st.integers(0, 2**16))
+    def test_matches_composition(self, batch, cin, hidden, cout, height, width,
+                                 x_grad, seed):
+        rng = np.random.default_rng(seed)
+        leaves = _mlp_leaves(rng, cin, hidden, cout, (batch, cin, height, width),
+                             x_grad)
+        weights = rng.uniform(-1, 1, (batch, cout, height, width))
+        results = [_leaf_grads(fn, leaves, weights)
+                   for fn in (T.pointwise_mlp, mlp_composed)]
+        _assert_same(*results)
+        if not x_grad:
+            assert results[0][2][0] is None
+
+    def test_one_tape_entry(self):
+        leaves = _mlp_leaves(np.random.default_rng(52), 3, 6, 3, (2, 3, 2, 2),
+                             True)
+        with T.record() as tape:
+            T.pointwise_mlp(*leaves)
+        assert len(tape) == 1
+
+    def test_grad_check_excludes_relu_flip(self):
+        rng = np.random.default_rng(53)
+        leaves = _mlp_leaves(rng, 3, 4, 3, (2, 3, 3, 3), True)
+        x, w1, b1 = leaves[:3]
+        pre = np.tensordot(x.data, w1.data.reshape(4, 3), axes=([1], [1]))
+        b1.data = b1.data.copy()
+        b1.data[0] = -pre[1, 2, 0, 0]  # one hidden pre-activation at zero
+        weights = Tensor(rng.uniform(-1, 1, (2, 3, 3, 3)))
+        results = [
+            grad_check(lambda *_, fn=fn: T.tsum(fn(*leaves) * weights), leaves,
+                       eps=1e-5)
+            for fn in (T.pointwise_mlp, mlp_composed)
+        ]
+        assert results[0] == results[1]
+        assert results[0].kink_events >= 1 and results[0].excluded_elements >= 1
+        assert results[0].max_rel_error <= 1e-4
+
+    def test_overflow_raises_non_finite_naming_the_op(self):
+        leaves = _mlp_leaves(np.random.default_rng(54), 2, 3, 2, (1, 2, 2, 2),
+                             True)
+        leaves[0].data = np.full((1, 2, 2, 2), 1e300)
+        leaves[1].data = np.full((3, 2, 1, 1), 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFiniteError, match="pointwise_mlp"):
+                T.pointwise_mlp(*leaves)
+
+    def test_rejects_bad_shapes(self):
+        good = _mlp_leaves(np.random.default_rng(55), 2, 3, 2, (1, 2, 2, 2),
+                           True)
+        bad = {0: Tensor(np.zeros((1, 3, 2, 2))), 1: Tensor(np.zeros((3, 2, 3, 3))),
+               2: Tensor(np.zeros(2)), 3: Tensor(np.zeros((2, 4, 1, 1))),
+               4: Tensor(np.zeros(3))}
+        for i, t in bad.items():
+            args = list(good)
+            args[i] = t
+            with pytest.raises(ShapeError):
+                T.pointwise_mlp(*args)
 
 
 class TestEncoderBlock:

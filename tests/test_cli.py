@@ -225,6 +225,34 @@ class TestCheckpointFormat:
         assert run(*argv) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("shape", ["2x3x", "2xax3", "9" * 5000],
+                             ids=["trailing_x", "letter", "5000_digits"])
+    def test_predict_rejects_malformed_shape_field(self, tmp_path, dataset_dir,
+                                                   capsys, shape):
+        ckpt = tiny_checkpoint(tmp_path / "ckpt")
+        lines = (ckpt / "manifest.txt").read_text().splitlines()
+        key, _, offset = lines[0].split()
+        lines[0] = f"{key} {shape} {offset}"
+        (ckpt / "manifest.txt").write_text("\n".join(lines) + "\n")
+        assert run("predict", "--checkpoint", str(ckpt), "--image",
+                   str(dataset_dir / "img_0000.pgm"), "--out",
+                   str(tmp_path / "m.pgm")) == 2
+        assert "malformed manifest line" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", [0, 1, 2],
+                             ids=["width", "height", "maxval"])
+    def test_predict_rejects_overlong_header_field(self, tmp_path, capsys,
+                                                   field):
+        # 5,000 digits are over Python's integer-string conversion limit
+        header = [b"16", b"16", b"255"]
+        header[field] = b"9" * 5000
+        image = tmp_path / "long.pgm"
+        image.write_bytes(b"P5\n" + b" ".join(header) + b"\n" + bytes(256))
+        ckpt = tiny_checkpoint(tmp_path / "ckpt")
+        assert run("predict", "--checkpoint", str(ckpt), "--image", str(image),
+                   "--out", str(tmp_path / "m.pgm")) == 2
+        assert "long.pgm" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value,code", [("False", 0), ("True", 1)])
     def test_config_with_removed_field(self, tmp_path, dataset_dir, value, code):
         ckpt = tiny_checkpoint(tmp_path / "ckpt")
@@ -369,12 +397,15 @@ class TestGradcheckVerb:
         for row in ("normalize_batch ", "normalize_layer ",
                     "normalize_given_stats "):
             assert row in out, row
+        for row in ("relu ", "matmul ", "transpose ", "roll2d "):
+            assert row not in out, row  # test-side ops, checked in the tests
         assert "worst max_rel_err" in out
 
     def test_blocks_scope_passes(self, capsys):
         assert run("gradcheck", "--scope", "blocks") == 0
         out = capsys.readouterr().out
-        for row in ("conv_lstm_step ", "conv_lstm_step_lazy ", "bconv_lstm "):
+        for row in ("conv_lstm_step ", "conv_lstm_step_lazy ", "bconv_lstm ",
+                    "separable_conv_bn_relu ", "pointwise_mlp "):
             assert row in out, row
         assert "worst max_rel_err" in out
 

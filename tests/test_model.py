@@ -302,11 +302,13 @@ class TestCounters:
                           transformer_placement=placement,
                           skip_sequence_mode=mode, skip_lstm=skip_lstm)
         executed = []
-        conv2d, matmul, conv_transpose2d = T.conv2d, T.matmul, T.conv_transpose2d
+        conv2d, conv_transpose2d = T.conv2d, T.conv_transpose2d
         window_attention, dense_conv = T.window_attention, T._dense_conv
+        separable_conv_bn, pointwise_mlp = T.separable_conv_bn, T.pointwise_mlp
 
-        # dense k x k convolutions, T.conv_lstm_step's among them, are
-        # counted in the shared helper; conv2d counts its other paths
+        # dense k x k convolutions, those inside T.conv_lstm_step and
+        # T.separable_conv_bn among them, are counted in the shared helper;
+        # conv2d and the fused ops count their other paths
         def counting_conv2d(x, wt, padding=0, groups=1):
             out = conv2d(x, wt, padding=padding, groups=groups)
             if groups != 1 or wt.shape[-1] == 1:
@@ -318,9 +320,18 @@ class TestCounters:
             executed.append(2 * out.size * int(np.prod(wd.shape[1:])))
             return out, patches
 
-        def counting_matmul(a, b):
-            out = matmul(a, b)
-            executed.append(2 * out.size * a.shape[-1])
+        def counting_separable_conv_bn(x, dw, pw, *rest):
+            out = separable_conv_bn(x, dw, pw, *rest)
+            b, cin, h, w = x.shape
+            if cin > 1:  # one input channel runs the dense helper
+                executed.append(2 * b * cin * h * w * dw.shape[-1] ** 2)
+            executed.append(2 * out[0].size * cin)
+            return out
+
+        def counting_pointwise_mlp(x, w1, b1, w2, b2):
+            out = pointwise_mlp(x, w1, b1, w2, b2)
+            b, cin, h, w = x.shape
+            executed.append(2 * b * h * w * w1.shape[0] * (cin + out.shape[1]))
             return out
 
         def counting_conv_transpose2d(x, wt):
@@ -341,7 +352,8 @@ class TestCounters:
 
         monkeypatch.setattr(T, "conv2d", counting_conv2d)
         monkeypatch.setattr(T, "_dense_conv", counting_dense_conv)
-        monkeypatch.setattr(T, "matmul", counting_matmul)
+        monkeypatch.setattr(T, "separable_conv_bn", counting_separable_conv_bn)
+        monkeypatch.setattr(T, "pointwise_mlp", counting_pointwise_mlp)
         monkeypatch.setattr(T, "conv_transpose2d", counting_conv_transpose2d)
         monkeypatch.setattr(T, "window_attention", counting_window_attention)
         M.forward(M.build(cfg, 0), Tensor(np.zeros((1, 1, size, size))))
@@ -354,23 +366,35 @@ class TestCounters:
         x = Tensor(np.random.default_rng(41).uniform(0, 1, (8, 1, 32, 32)))
         shapes = []
         conv2d, dense_conv = T.conv2d, T._dense_conv
+        separable_conv_bn, pointwise_mlp = T.separable_conv_bn, T.pointwise_mlp
 
         def watching(xin, wt, padding=0, groups=1):
-            shapes.append((xin.shape, bool(xin.data.any())))
+            shapes.append(("conv2d", xin.shape, bool(xin.data.any())))
             return conv2d(xin, wt, padding=padding, groups=groups)
 
         # the ConvLSTM gate convolutions run inside T.conv_lstm_step, which
         # calls the dense-conv helper directly
         def watching_dense(xd, wd, padding):
-            shapes.append((xd.shape, bool(xd.any())))
+            shapes.append(("dense", xd.shape, bool(xd.any())))
             return dense_conv(xd, wd, padding)
+
+        def watching_separable(xin, *rest):
+            shapes.append(("separable", xin.shape, bool(xin.data.any())))
+            return separable_conv_bn(xin, *rest)
+
+        def watching_mlp(xin, *rest):
+            shapes.append(("mlp", xin.shape, bool(xin.data.any())))
+            return pointwise_mlp(xin, *rest)
 
         monkeypatch.setattr(T, "conv2d", watching)
         monkeypatch.setattr(T, "_dense_conv", watching_dense)
+        monkeypatch.setattr(T, "separable_conv_bn", watching_separable)
+        monkeypatch.setattr(T, "pointwise_mlp", watching_mlp)
         with T.record():
             T.backward(T.tsum(M.forward(params, x, training=True)))
-        assert shapes
-        assert [s for s, nonzero in shapes if not nonzero] == []
+        assert {op for op, _, _ in shapes} == {"conv2d", "dense", "separable",
+                                               "mlp"}
+        assert [(op, s) for op, s, nonzero in shapes if not nonzero] == []
 
 
 class TestCheckpoint:
