@@ -167,7 +167,8 @@ def conv_lstm_step(x, state, p):
     Gate order: input and forget gates first (conv peepholes on the previous
     cell), then the cell update, then the output gate (Hadamard peephole on
     the new cell), then the hidden state. Each input stream's kernels run as
-    one convolution, so the patch gather happens once per stream.
+    one convolution, so the patch gather happens once per stream in the
+    forward, and again in the backward for that stream's kernel gradient.
 
     state=None stands for the all-zero initial state. Its h- and c-stream
     convolutions and the forget-gate term f * c_prev are exactly zero, so

@@ -48,10 +48,12 @@ def _check_prob_mask(s, g):
 
 
 def _union_bbox(s, g):
-    """Tight box covering the union of the mask and the prediction >= 0.5."""
+    """Tight box covering the union of the mask and the prediction >= 0.5;
+    the whole plane when that union is empty, so that a near-zero prediction
+    of an empty mask scores a jaccard term near xi."""
     union = (g >= 0.5) | (s >= 0.5)
     if not union.any():
-        raise ValueError("empty prediction and mask: bounding box undefined")
+        return 0, union.shape[0], 0, union.shape[1]
     rows = np.flatnonzero(union.any(axis=1))
     cols = np.flatnonzero(union.any(axis=0))
     return rows[0], rows[-1] + 1, cols[0], cols[-1] + 1
@@ -61,7 +63,8 @@ def _union_bbox(s, g):
 class LevelSetMap:
     """Per-pixel signed Euclidean distance to the mask's boundary pixels
     (foreground pixels with a background 4-neighbor): negative inside the
-    mask, positive outside, zero exactly on the boundary set."""
+    mask, positive outside, zero exactly on the boundary set. All zero for a
+    mask without foreground or without background."""
 
     values: np.ndarray
 
@@ -81,8 +84,10 @@ def boundary_pixels(g):
 def level_set(g):
     """Exact signed Euclidean distance transform of a binary mask.
 
-    Distances are measured to the boundary pixel set; the mask must contain
-    both foreground and background.
+    Distances are measured to the boundary pixel set. A mask without
+    foreground, or without background, has no boundary; its map is all zero,
+    so that plane adds nothing to the boundary term (the convention of
+    Kervadec et al., arXiv 1812.07032).
     """
     g = np.asarray(g, dtype=float)
     if g.ndim != 2:
@@ -91,7 +96,7 @@ def level_set(g):
         raise ValueError("level_set mask must be binary")
     fg_count = int(g.sum())
     if fg_count == 0 or fg_count == g.size:
-        raise ValueError("level_set mask must contain foreground and background")
+        return LevelSetMap(np.zeros(g.shape))
 
     dist = np.sqrt(sq_distance_to(boundary_pixels(g)))
     return LevelSetMap(np.where(g > 0.5, -dist, dist))
@@ -110,8 +115,11 @@ def composite_loss(s, g, schedule, epoch, components=_COMPONENTS,
     it reads below zero once the overlaps sum past one. Jaccard and boundary
     run over the foreground planes (plane 0 when C == 1, planes 1..C-1
     otherwise) and are averaged over planes and samples; bounding boxes are
-    per (sample, plane). level_sets holds the (B, K, H, W) signed distances
-    of the K foreground planes and is required when "boundary" is selected.
+    per (sample, plane), see _union_bbox. On an empty mask plane jaccard's
+    inter / union_mass is 0, or 0 / 0 (NonFiniteError) for a prediction of
+    exact zeros, which sigmoid and softmax give only by underflow. level_sets
+    holds the (B, K, H, W) signed distances of the K foreground planes and
+    is required when "boundary" is selected.
 
     Returns (total, breakdown) where breakdown holds the unweighted value of
     each computed component plus the boundary weight in effect.

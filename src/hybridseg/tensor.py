@@ -531,21 +531,13 @@ def _pad_hw(xd, p):
     return xp
 
 
-def _window_view(x, kh, kw):
-    """(B, C, Hp, Wp) -> strided view (B, C, kh, kw, Ho, Wo), no copy."""
-    b, c, hp, wp = x.shape
-    ho, wo = hp - kh + 1, wp - kw + 1
-    sb, sc, sh, sw = x.strides
-    return np.lib.stride_tricks.as_strided(
-        x, (b, c, kh, kw, ho, wo), (sb, sc, sh, sw, sh, sw)
-    )
-
-
 def conv2d(x, w, padding=0, groups=1):
     """2-D cross-correlation, stride 1.
 
     x: (B, Cin, H, W); w: (Cout, Cin/groups, kh, kw). groups is 1 (dense,
-    e.g. pointwise) or Cin (depthwise with one filter per channel).
+    e.g. pointwise) or Cin (depthwise with one filter per channel). The tape
+    entry keeps its inputs and no patch matrix: a dense k x k backward
+    gathers the patches from x again.
     """
     xd, wd = x.data, w.data
     if xd.ndim != 4 or wd.ndim != 4:
@@ -572,34 +564,31 @@ def conv2d(x, w, padding=0, groups=1):
     if p and kh == 1 and kw == 1 and not depthwise:
         raise ShapeError("padding is meaningless for a 1x1 kernel")
     need_x, need_w = x.requires_grad, w.requires_grad
-    y, patches = _conv(xd, wd, p, depthwise)
-    out = Tensor(y)
+    out = Tensor(_conv(xd, wd, p, depthwise))
 
     def bw(g):
-        return _conv_grads(g, xd, wd, p, depthwise, patches, need_x, need_w)
+        return _conv_grads(g, xd, wd, p, depthwise, need_x, need_w)
 
     return _register(out, [x, w], bw)
 
 
 def _conv(xd, wd, p, depthwise):
-    """conv2d's forward on arrays: (y, patches). A depthwise kernel runs tap
-    by tap, a dense 1x1 kernel as one channel-mixing product, any other
-    dense kernel as a GEMM on the patch matrix, which is returned for the
-    backward (None on the other paths). Overflow is left to the caller's
-    finiteness check."""
+    """conv2d's forward on arrays. A depthwise kernel runs tap by tap, a dense
+    1x1 kernel as one channel-mixing product, any other dense kernel as a
+    GEMM on the patch matrix. Overflow is left to the caller's finiteness
+    check."""
     with np.errstate(over="ignore", invalid="ignore"):
         if depthwise:
-            return _depthwise_conv(xd, wd, p), None
+            return _depthwise_conv(xd, wd, p)
         if wd.shape[2:] == (1, 1):
             y = np.tensordot(xd, wd.reshape(wd.shape[0], -1), axes=([1], [1]))
-            return np.ascontiguousarray(y.transpose(0, 3, 1, 2)), None
+            return np.ascontiguousarray(y.transpose(0, 3, 1, 2))
         return _dense_conv(xd, wd, p)
 
 
-def _conv_grads(g, xd, wd, p, depthwise, patches, need_x, need_w):
+def _conv_grads(g, xd, wd, p, depthwise, need_x, need_w):
     """(input, kernel) gradients of _conv from the output gradient g, None
-    where not needed; a dense kernel's patch matrix is gathered again from
-    xd when patches is None."""
+    where not needed."""
     if depthwise:
         return _depthwise_conv_grads(g, xd, wd, p, need_x, need_w)
     cout, _, kh, kw = wd.shape
@@ -614,9 +603,7 @@ def _conv_grads(g, xd, wd, p, depthwise, patches, need_x, need_w):
             gw = np.tensordot(g, xd, axes=([0, 2, 3], [0, 2, 3]))
             gw = gw.reshape(wd.shape)
         return gx, gw
-    if patches is None and need_w:
-        patches = _patches(xd, kh, kw, p)
-    return _dense_conv_grads(g, patches, xd.shape, wd, p, need_x, need_w)
+    return _dense_conv_grads(g, xd, wd, p, need_x, need_w)
 
 
 def _depthwise_conv(xd, wd, p):
@@ -659,39 +646,66 @@ def _depthwise_conv_grads(g, xd, wd, p, need_x, need_w):
     return gx, gw
 
 
+_GATHER_CACHE = {}
+
+
+def _gather_index(cin, kh, kw, wp):
+    """Column index that takes a row of the (Cin, kh, Wp) band to the
+    (Wo, Cin, kh, kw) patch row: band column cin*kh*Wp + ki*Wp + wo + kj."""
+    key = (cin, kh, kw, wp)
+    if key not in _GATHER_CACHE:
+        wo = wp - kw + 1
+        _GATHER_CACHE[key] = (
+            np.arange(wo)[:, None, None, None]
+            + np.arange(cin)[:, None, None] * (kh * wp)
+            + np.arange(kh)[:, None] * wp
+            + np.arange(kw)
+        ).reshape(-1)
+    return _GATHER_CACHE[key]
+
+
 def _patches(xd, kh, kw, p):
-    """(B*Ho*Wo, Cin*kh*kw) patch matrix of NCHW array xd, zero padding p."""
+    """(B*Ho*Wo, Cin*kh*kw) patch matrix of NCHW array xd, zero padding p:
+    one copy of the (B*Ho, Cin*kh*Wp) band of padded rows each output row
+    reads, then one take with a cached column index."""
     b, cin = xd.shape[:2]
     xp = _pad_hw(xd, p)
-    win = _window_view(xp, kh, kw).transpose(0, 4, 5, 1, 2, 3)
-    return win.reshape(b * win.shape[1] * win.shape[2], cin * kh * kw)
+    hp, wp = xp.shape[2:]
+    ho = hp - kh + 1
+    sb, sc, sh, sw = xp.strides
+    band = np.lib.stride_tricks.as_strided(
+        xp, (b, ho, cin, kh, wp), (sb, sh, sc, sh, sw)
+    ).reshape(b * ho, cin * kh * wp)
+    cols = band.take(_gather_index(cin, kh, kw, wp), axis=1)
+    return cols.reshape(b * ho * (wp - kw + 1), cin * kh * kw)
 
 
 def _dense_conv(xd, wd, p):
-    """Dense kh x kw cross-correlation of NCHW array xd with zero padding p.
-
-    One GEMM on the (B*Ho*Wo, Cin*kh*kw) patch matrix, which is returned with
-    the (B, Cout, Ho, Wo) output: _dense_conv_grads needs it for the kernel
-    gradient. Overflow is left to the caller's finiteness check.
-    """
+    """Dense kh x kw cross-correlation of NCHW array xd with zero padding p:
+    one GEMM on the (B*Ho*Wo, Cin*kh*kw) patch matrix, which is dropped
+    after it. Overflow is left to the caller's finiteness check."""
     b, _, h, w = xd.shape
     cout, _, kh, kw = wd.shape
     ho, wo = h + 2 * p - kh + 1, w + 2 * p - kw + 1
-    patches = _patches(xd, kh, kw, p)
     with np.errstate(over="ignore", invalid="ignore"):
-        y = (patches @ wd.reshape(cout, -1).T).reshape(b, ho, wo, cout)
-    return np.ascontiguousarray(y.transpose(0, 3, 1, 2)), patches
+        y = (_patches(xd, kh, kw, p) @ wd.reshape(cout, -1).T).reshape(
+            b, ho, wo, cout)
+    return np.ascontiguousarray(y.transpose(0, 3, 1, 2))
 
 
-def _dense_conv_grads(g, patches, xshape, wd, p, need_x, need_w):
-    """(input, kernel) gradients of _dense_conv from the output gradient g:
-    a GEMM and a kh*kw-slice col2im for the input, a GEMM against the cached
-    patch matrix for the kernel; None where not needed."""
-    b, cin, h, w = xshape
+def _dense_conv_grads(g, xd, wd, p, need_x, need_w):
+    """(input, kernel) gradients of _dense_conv from the output gradient g,
+    None where not needed: a GEMM on the patch matrix, gathered from xd
+    again, for the kernel; a GEMM and a kh*kw-slice col2im for the input.
+    The kernel's runs first, so that the input's column buffer reuses the
+    freed patch matrix's memory instead of faulting in fresh pages."""
+    b, cin, h, w = xd.shape
     cout, _, kh, kw = wd.shape
     ho, wo = g.shape[2:]
     g2 = g.transpose(0, 2, 3, 1).reshape(b * ho * wo, cout)
     gx = gw = None
+    if need_w:
+        gw = (g2.T @ _patches(xd, kh, kw, p)).reshape(wd.shape)
     if need_x:
         gcols = (g2 @ wd.reshape(cout, -1)).reshape(b, ho, wo, cin, kh, kw)
         gxp = np.zeros((b, h + 2 * p, w + 2 * p, cin))  # channels last
@@ -701,8 +715,6 @@ def _dense_conv_grads(g, patches, xshape, wd, p, need_x, need_w):
         gx = np.ascontiguousarray(
             gxp[:, p : p + h, p : p + w].transpose(0, 3, 1, 2)
         )
-    if need_w:
-        gw = (g2.T @ patches).reshape(wd.shape)
     return gx, gw
 
 
@@ -778,8 +790,9 @@ def separable_conv_bn(x, dw, pw, gamma, beta, eps, stats=None, relu=False):
     normalize and relu, so outputs are bitwise equal to that composition;
     with one input channel, conv2d(groups=1) takes its dense path, and so
     does this. The backward is written out in the composition's order. The
-    entry keeps the depthwise output, the centred pointwise output and the
-    ReLU mask; the depthwise backward pads x again.
+    entry keeps its inputs, the depthwise output, the centred pointwise
+    output and the ReLU mask, and no patch matrix: the depthwise backward
+    pads x again, and a dense one-channel backward gathers its patches again.
     """
     xd, dwd, pwd = x.data, dw.data, pw.data
     if xd.ndim != 4 or dwd.ndim != 4 or pwd.ndim != 4:
@@ -805,9 +818,9 @@ def separable_conv_bn(x, dw, pw, gamma, beta, eps, stats=None, relu=False):
     keep = _recording(inputs)
 
     # with no tape entry to make, each intermediate is dropped after its use
-    y1, _ = _conv(xd, dwd, p, depthwise)
+    y1 = _conv(xd, dwd, p, depthwise)
     _check_finite(y1, "separable_conv_bn depthwise")
-    y2, _ = _conv(y1, pwd, 0, False)
+    y2 = _conv(y1, pwd, 0, False)
     _check_finite(y2, "separable_conv_bn pointwise")
     y1 = y1 if keep else None
     y, centered, std, mean, var = _normalize(
@@ -831,12 +844,11 @@ def separable_conv_bn(x, dw, pw, gamma, beta, eps, stats=None, relu=False):
             g, centered, std, g4, reduced, b * h * w, stats is None)
         # the composition adds the mean-path gradient to the centred one
         g2 = gc if g_mean is None else gc + g_mean
-        g1, g_pw = _conv_grads(g2, y1, pwd, 0, False, None, need_x or need_dw,
+        g1, g_pw = _conv_grads(g2, y1, pwd, 0, False, need_x or need_dw,
                                need_pw)
         gx = g_dw = None
         if g1 is not None:
-            gx, g_dw = _conv_grads(g1, xd, dwd, p, depthwise, None, need_x,
-                                   need_dw)
+            gx, g_dw = _conv_grads(g1, xd, dwd, p, depthwise, need_x, need_dw)
         return gx, g_dw, g_pw, g_gamma, g_beta
 
     return _register(out, inputs, bw), mean, var
@@ -868,13 +880,13 @@ def pointwise_mlp(x, w1, b1, w2, b2):
 
     # a conv output that is not finite stays so after a finite bias
     with np.errstate(over="ignore", invalid="ignore"):
-        hidden, _ = _conv(xd, w1.data, 0, False)
+        hidden = _conv(xd, w1.data, 0, False)
         hidden += b1.data.reshape(1, hid, 1, 1)
         _check_finite(hidden, "pointwise_mlp hidden layer")
         _kink_hook(lambda: float(np.min(np.abs(hidden))) if hidden.size else np.inf)
         _pattern_hook(hidden > 0.0)
         np.maximum(hidden, 0.0, out=hidden)
-        y, _ = _conv(hidden, w2.data, 0, False)
+        y = _conv(hidden, w2.data, 0, False)
         y += b2.data.reshape(1, dout, 1, 1)
         _check_finite(y, "pointwise_mlp")
     if not keep:
@@ -883,14 +895,14 @@ def pointwise_mlp(x, w1, b1, w2, b2):
 
     def bw(g):
         g_b2 = _unbroadcast(g, (1, dout, 1, 1)).reshape(-1)
-        gh, g_w2 = _conv_grads(g, hidden, w2.data, 0, False, None, need_hidden,
+        gh, g_w2 = _conv_grads(g, hidden, w2.data, 0, False, need_hidden,
                                w2.requires_grad)
         if gh is None:
             return None, None, None, g_w2, g_b2
         gh *= hidden > 0.0  # the ReLU mask, from its output
         g_b1 = _unbroadcast(gh, (1, hid, 1, 1)).reshape(-1)
-        gx, g_w1 = _conv_grads(gh, xd, w1.data, 0, False, None,
-                               x.requires_grad, w1.requires_grad)
+        gx, g_w1 = _conv_grads(gh, xd, w1.data, 0, False, x.requires_grad,
+                               w1.requires_grad)
         return gx, g_w1, g_b1, g_w2, g_b2
 
     return _register(out, inputs, bw)
@@ -1051,7 +1063,8 @@ def conv_lstm_step(x, h, c, w_x, w_h, w_c, w_c_o, b):
     stream's kernels run as one dense convolution. The elementwise steps
     follow the NumPy order of the same update composed from taped ops, so
     outputs are bitwise equal to it; the backward is written out from the
-    cached patch matrices and gate activations.
+    cached gate activations. The entry keeps its inputs and no patch matrix:
+    each kernel gradient gathers its stream's patches again.
     """
     xd = x.data
     if xd.ndim != 4 or w_c_o.ndim != 1:
@@ -1082,10 +1095,6 @@ def conv_lstm_step(x, h, c, w_x, w_h, w_c, w_c_o, b):
     else:
         wx = w_x.data
         inputs = [x, h, c, w_x, w_h, w_c, w_c_o, b]
-    # when no tape entry is made, the patch matrices are dropped right after
-    # their GEMMs and each intermediate right after its use: held to the
-    # end, they made a tape-free 64x64 step about twice as slow
-    keep = _recording(inputs)
 
     def squash(fn, pre):
         # sigmoid(inf) and tanh(inf) are finite: check before squashing
@@ -1093,8 +1102,7 @@ def conv_lstm_step(x, h, c, w_x, w_h, w_c, w_c_o, b):
         return fn(pre)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        fx, px = _dense_conv(xd, wx, pad)
-        px = px if keep else None
+        fx = _dense_conv(xd, wx, pad)
         if h is None:
             # gate layout of fx: i, o, c
             i = squash(_sigmoid, fx[:, :hid] + bi)
@@ -1103,9 +1111,8 @@ def conv_lstm_step(x, h, c, w_x, w_h, w_c, w_c_o, b):
             pre = fx[:, hid : 2 * hid] + wco * c_new
         else:
             # gate layout of fx and fh: i, f, o, c; of fc: i, f
-            fh, ph = _dense_conv(h.data, w_h.data, pad)
-            fc, pc = _dense_conv(c.data, w_c.data, pad)
-            ph, pc = (ph, pc) if keep else (None, None)
+            fh = _dense_conv(h.data, w_h.data, pad)
+            fc = _dense_conv(c.data, w_c.data, pad)
             pre = fx[:, :hid] + fh[:, :hid]
             pre += fc[:, :hid]
             pre += bi
@@ -1158,13 +1165,13 @@ def conv_lstm_step(x, h, c, w_x, w_h, w_c, w_c_o, b):
         dgates[:, :hid] += dc * g * i * (1.0 - i)
         if h is not None:
             dgates[:, hid : 2 * hid] += dc * c.data * f * (1.0 - f)
-        gx, gwx = _dense_conv_grads(dgates, px, xd.shape, wx, pad,
-                                    x.requires_grad, w_x.requires_grad)
+        gx, gwx = _dense_conv_grads(dgates, xd, wx, pad, x.requires_grad,
+                                    w_x.requires_grad)
         if h is None:
             return gx, stacked(gwx), dwco, stacked(bias_grad(dgates))
-        gh, gwh = _dense_conv_grads(dgates, ph, state, w_h.data, pad,
+        gh, gwh = _dense_conv_grads(dgates, h.data, w_h.data, pad,
                                     h.requires_grad, w_h.requires_grad)
-        gcp, gwc = _dense_conv_grads(dgates[:, : 2 * hid], pc, state, w_c.data,
+        gcp, gwc = _dense_conv_grads(dgates[:, : 2 * hid], c.data, w_c.data,
                                      pad, c.requires_grad, w_c.requires_grad)
         if gcp is not None:
             gcp = dc * f + gcp

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import taped_ops as O
@@ -1527,3 +1527,91 @@ class TestConvOracle:
             return T.tsum(T.maxpool2x2(x) * T.maxpool2x2(x))
 
         assert grad_check(f, [x], eps=1e-5).max_rel_error <= 1e-4
+
+
+def patches_strided(xd, kh, kw, p):
+    """The (B*Ho*Wo, Cin*kh*kw) patch matrix by one reshape of a strided
+    window view: the library's earlier gather, kept as the reference for
+    tensor._patches."""
+    b, cin = xd.shape[:2]
+    xp = np.pad(xd, ((0, 0), (0, 0), (p, p), (p, p)))
+    _, _, hp, wp = xp.shape
+    ho, wo = hp - kh + 1, wp - kw + 1
+    sb, sc, sh, sw = xp.strides
+    win = np.lib.stride_tricks.as_strided(
+        xp, (b, cin, kh, kw, ho, wo), (sb, sc, sh, sw, sh, sw)
+    ).transpose(0, 4, 5, 1, 2, 3)
+    return win.reshape(b * ho * wo, cin * kh * kw)
+
+
+class TestPatchGather:
+    @settings(deadline=None, max_examples=150)
+    @given(batch=st.integers(1, 3), cin=st.integers(1, 5),
+           height=st.integers(1, 9), width=st.integers(1, 9),
+           kh=st.sampled_from([1, 3, 5]), kw=st.sampled_from([1, 3, 5]),
+           p=st.sampled_from([0, 1, 2]), seed=st.integers(0, 2**16))
+    @example(batch=1, cin=1, height=1, width=1, kh=1, kw=1, p=0, seed=0)
+    @example(batch=3, cin=5, height=9, width=1, kh=5, kw=3, p=1, seed=1)
+    def test_matches_strided_oracle(self, batch, cin, height, width, kh, kw,
+                                    p, seed):
+        assume(height + 2 * p >= kh and width + 2 * p >= kw)
+        x = np.random.default_rng(seed).standard_normal((batch, cin, height,
+                                                         width))
+        got = T._patches(x, kh, kw, p)
+        assert np.array_equal(got, patches_strided(x, kh, kw, p))
+        assert got.flags.c_contiguous
+
+    @settings(deadline=None, max_examples=40)
+    @given(batch=st.integers(1, 3), cin=st.integers(1, 4),
+           cout=st.integers(1, 4), height=st.integers(1, 7),
+           width=st.integers(1, 7), kh=st.sampled_from([3, 5]),
+           kw=st.sampled_from([1, 3, 5]), p=st.sampled_from([0, 1, 2]),
+           seed=st.integers(0, 2**16))
+    def test_conv2d_bitwise_equal_on_oracle_gather(self, batch, cin, cout,
+                                                   height, width, kh, kw, p,
+                                                   seed):
+        assume(height + 2 * p >= kh and width + 2 * p >= kw)
+        rng = np.random.default_rng(seed)
+        xdata = rng.uniform(-1, 1, (batch, cin, height, width))
+        wdata = rng.uniform(-1, 1, (cout, cin, kh, kw))
+        weights = rng.uniform(-1, 1, (batch, cout, height + 2 * p - kh + 1,
+                                      width + 2 * p - kw + 1))
+
+        def run():
+            leaves = [Tensor(xdata, requires_grad=True),
+                      Tensor(wdata, requires_grad=True)]
+            return _leaf_grads(lambda x, w: T.conv2d(x, w, padding=p), leaves,
+                               weights)
+
+        got = run()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(T, "_patches", patches_strided)
+            ref = run()
+        x0 = np.zeros((batch, cin, height, width))
+        if patches_strided(x0, kh, kw, p).flags.c_contiguous:
+            _assert_same(got, ref)
+        else:
+            # some batch-1 shapes (a kernel one pixel wide, or as wide or as
+            # high as the padded map) make the oracle's reshape return a
+            # strided view, not a copy, and the GEMM on that view may round
+            # differently in the last bit
+            for a, r in zip([got[0]] + got[2], [ref[0]] + ref[2]):
+                assert np.abs(a - r).max() <= 1e-12 * np.abs(r).max()
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_stateful_conv_lstm_step_bitwise_equal_on_oracle_gather(self, k):
+        rng = np.random.default_rng(38)
+        p = _random_conv_lstm(rng, 3, 2, k)
+        xdata = rng.uniform(-1, 1, (2, 3, 5, 6))
+        s0 = _step_state("random", rng, 2, 2, 5, 6)
+        w_h, w_c = rng.uniform(-1, 1, (2, 2, 2, 5, 6))
+        st_, grads = _step_grads(B.conv_lstm_step, xdata, s0, p, w_h, w_c)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(T, "_patches", patches_strided)
+            ref, ref_grads = _step_grads(B.conv_lstm_step, xdata, s0, p, w_h,
+                                         w_c)
+        assert np.array_equal(st_.hidden.data, ref.hidden.data)
+        assert np.array_equal(st_.cell.data, ref.cell.data)
+        assert set(grads) == set(ref_grads)
+        for key, r in ref_grads.items():
+            assert np.array_equal(grads[key], r), key

@@ -137,6 +137,20 @@ class TestTrainEvalPredict:
             "--out", str(tmp_path / "x"),
         ) == 1
 
+    def test_all_background_masks_train(self, tmp_path, dataset_dir):
+        samples, _ = cli.read_dataset(dataset_dir)
+        empty = tmp_path / "empty"
+        cli.write_dataset([(img, np.zeros_like(mask)) for img, mask in samples],
+                          empty, 1)
+        out = tmp_path / "run"
+        assert run(
+            "train", "--config", str(tiny_train_config(tmp_path)),
+            "--data", str(empty), "--out", str(out), "--seed", "3",
+        ) == 0
+        rows = (out / "log.csv").read_text().splitlines()
+        assert rows[0].split(",")[5] == "loss_b"
+        assert [r.split(",")[5] for r in rows[1:]] == ["0", "0"]
+
     def test_missing_data_is_io_error(self, tmp_path):
         cfg = tiny_train_config(tmp_path)
         assert run(

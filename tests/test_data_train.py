@@ -337,6 +337,21 @@ class TestTrainLoop:
             assert row["loss_d"] is not None
             assert row["loss_j"] is None and row["loss_b"] is None
 
+    @pytest.mark.parametrize("classes", [1, 3])
+    def test_all_background_masks_train(self, classes):
+        # a mask without foreground has no boundary: its planes get all-zero
+        # level sets and add nothing to the boundary term
+        dataset = D.synth_dataset(
+            D.SynthSpec(image_size=16, count=10, num_classes=classes,
+                        noise_level=0.03),
+            seed=10,
+        )
+        dataset = [(img, np.zeros_like(mask)) for img, mask in dataset]
+        res = TR.train(tiny_model_cfg(num_classes=classes), self._train_cfg(),
+                       dataset)
+        assert not res.aborted and res.epochs_run == 2
+        assert [row["loss_b"] for row in res.log_rows] == [0.0, 0.0]
+
     def test_multiclass_training_runs(self):
         dataset = D.synth_dataset(
             D.SynthSpec(image_size=16, count=8, num_classes=3,

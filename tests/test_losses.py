@@ -162,11 +162,14 @@ class TestJaccardLoss:
             loss = LO.jaccard_loss(Tensor(s), Tensor(g))
             assert abs(loss.item() - jaccard_loss_oracle(s, g)) <= 1e-12
 
-    def test_empty_union(self):
-        with pytest.raises(ValueError):
-            LO.jaccard_loss(
-                Tensor(np.full((4, 4), 0.2)), Tensor(np.zeros((4, 4)))
-            )
+    def test_empty_union_boxes_whole_plane(self):
+        # no pixel reaches 0.5: the box is the whole plane, iou is 0 and the
+        # box term is the uncovered fraction (16 - 3.2) / 16
+        loss = LO.jaccard_loss(
+            Tensor(np.full((4, 4), 0.2)), Tensor(np.zeros((4, 4)))
+        )
+        assert abs(loss.item() - (0.2 + 1e-6)) <= 1e-12
+        assert L._union_bbox(np.zeros((3, 5)), np.zeros((3, 5))) == (0, 3, 0, 5)
 
     def test_grad_check(self):
         rng = np.random.default_rng(4)
@@ -212,11 +215,13 @@ class TestLevelSet:
             g = random_mask(rng, 8, 8)
             assert np.array_equal(L.level_set(g).values, level_set_oracle(g))
 
-    def test_degenerate_masks_rejected(self):
+    def test_degenerate_masks_give_zero_map(self):
+        # no foreground or no background: no boundary, an all-zero map
+        for g in (np.ones((4, 5)), np.zeros((4, 5))):
+            vals = L.level_set(g).values
+            assert vals.shape == (4, 5) and not vals.any()
         with pytest.raises(ValueError):
-            L.level_set(np.ones((4, 4)))
-        with pytest.raises(ValueError):
-            L.level_set(np.zeros((4, 4)))
+            L.level_set(np.full((4, 4), 0.5))
 
 
 class TestBoundaryLoss:

@@ -17,6 +17,28 @@ def tiny_config(**kw):
     return M.ModelConfig(**base)
 
 
+def closure_arrays(fn):
+    """Every NumPy array a function's closure cells reach, through nested
+    functions, tuples and lists; a cell emptied by del holds nothing."""
+    found, seen, todo = [], set(), [fn]
+    while todo:
+        v = todo.pop()
+        if id(v) in seen:
+            continue
+        seen.add(id(v))
+        if isinstance(v, np.ndarray):
+            found.append(v)
+        elif isinstance(v, (tuple, list)):
+            todo.extend(v)
+        elif hasattr(v, "__closure__"):
+            for cell in v.__closure__ or ():
+                try:
+                    todo.append(cell.cell_contents)
+                except ValueError:
+                    pass
+    return found
+
+
 # closed-form parameter counts for the hand-count test
 
 
@@ -262,10 +284,10 @@ class TestCounters:
         # every k x k convolution, the ones inside T.conv_lstm_step included,
         # runs through the shared dense-conv helper
         def counting(xd, wd, padding):
-            out, patches = dense_conv(xd, wd, padding)
+            out = dense_conv(xd, wd, padding)
             cout, cper, kh, kw = wd.shape
             executed.append(2 * cout * cper * kh * kw * out.shape[2] * out.shape[3])
-            return out, patches
+            return out
 
         monkeypatch.setattr(T, "_dense_conv", counting)
         B.bconv_lstm(seq, p)
@@ -316,9 +338,9 @@ class TestCounters:
             return out
 
         def counting_dense_conv(xd, wd, padding):
-            out, patches = dense_conv(xd, wd, padding)
+            out = dense_conv(xd, wd, padding)
             executed.append(2 * out.size * int(np.prod(wd.shape[1:])))
-            return out, patches
+            return out
 
         def counting_separable_conv_bn(x, dw, pw, *rest):
             out = separable_conv_bn(x, dw, pw, *rest)
@@ -395,6 +417,31 @@ class TestCounters:
         assert {op for op, _, _ in shapes} == {"conv2d", "dense", "separable",
                                                "mlp"}
         assert [(op, s) for op, s, nonzero in shapes if not nonzero] == []
+
+    def test_tape_holds_no_patch_matrix(self):
+        # paired skips run stateful ConvLSTM steps, whose x, h and c streams
+        # and the direction-mixing conv2d are all dense 3x3 convolutions
+        cfg = tiny_config(skip_sequence_mode="paired")
+        params = M.build(cfg, 0)
+        rng = np.random.default_rng(42)
+        x = Tensor(rng.uniform(0, 1, (2, 1, 16, 16)))
+        g = Tensor((rng.uniform(0, 1, (2, 1, 16, 16)) < 0.4).astype(float))
+        with T.record() as tape:
+            out = M.forward(params, x, training=True)
+            L.composite_loss(out, g, L.LossSchedule(), 0,
+                             components=("dice", "jaccard"))
+        assert any(bw.__qualname__.startswith("conv_lstm_step.")
+                   and len(inputs) == 8 for _, inputs, bw in tape.ops)
+        held = []
+        for _, inputs, bw in tape.ops:
+            patch_shapes = {
+                (b * h * w, c * k * k)
+                for b, c, h, w in (t.shape for t in inputs if t.ndim == 4)
+                for k in (3, 5, 7)
+            }
+            held += [(bw.__qualname__, a.shape) for a in closure_arrays(bw)
+                     if a.ndim == 2 and a.shape in patch_shapes]
+        assert held == []
 
 
 class TestCheckpoint:
