@@ -3,7 +3,9 @@
 A Tensor wraps a NumPy float64 array (row-major). While a Tape is active,
 differentiable operations append themselves to it in execution order, which
 is topological by construction; ``backward`` replays the record in reverse
-and accumulates gradients into the participating tensors.
+and accumulates gradients into the participating tensors. It releases each
+entry, and each intermediate tensor's gradient, as soon as it has used them,
+so afterwards only the leaves and the root keep a ``grad``.
 
 The tape is strictly single-threaded: one tape is active at a time and
 recording onto a consumed tape is an error. Tensors that never touch a tape
@@ -125,6 +127,8 @@ class Tape:
 
     Entries are (output tensors, input tensors, backward rule) appended in
     execution order; most ops have one output, conv_lstm_step has two.
+    backward replaces each entry by None once its rule has run, so len()
+    still counts the entries recorded.
     ``kink_tol`` > 0 arms kink detection: the ReLUs inside
     separable_conv_bn and pointwise_mlp, and maxpool2x2, count evaluations
     that land within the tolerance of a nondifferentiable point (used by
@@ -422,7 +426,9 @@ def normalize(x, gamma, beta, axes, eps, stats=None):
     from taped ops, so outputs are bitwise equal to it; the backward is
     written out in that composition's order, and x is listed twice among the
     entry's inputs so that its centred-path and mean-path gradients are
-    added to x.grad one after the other, as the composition adds them.
+    added to x.grad one after the other, as the composition adds them. The
+    entry keeps x and the mean, not the centred input, which the backward
+    recomputes bit for bit.
     """
     xd = x.data
     if xd.ndim < 2 or gamma.shape != (xd.shape[1],) or beta.shape != gamma.shape:
@@ -443,15 +449,13 @@ def normalize(x, gamma, beta, axes, eps, stats=None):
         if any(np.size(s) != np.prod(reduced) for s in stats):
             raise ShapeError(f"normalize: stats do not match {reduced}")
         inputs = [x, gamma, beta]
-    y, centered, std, mean, var = _normalize(xd, g4, b4, axes, reduced, eps,
-                                             stats, "normalize")
-    if not _recording(inputs):
-        centered = None  # no tape entry will need it
+    y, _, std, mean, var = _normalize(xd, g4, b4, axes, reduced, eps, stats,
+                                      "normalize")
     out = Tensor(y)
 
     def bw(g):
         gc, g_mean, g_gamma, g_beta = _normalize_grads(
-            g, centered, std, g4, reduced, count, stats is None)
+            g, xd - mean, std, g4, reduced, count, stats is None)
         if g_mean is None:
             return gc, g_gamma, g_beta
         return gc, g_mean, g_gamma, g_beta
@@ -1188,7 +1192,13 @@ def backward(root):
     """Accumulate d(root)/d(leaf) into every requires_grad leaf on the active tape.
 
     root must be a scalar produced on the tape; the tape is consumed.
-    Returns a map {leaf Tensor: gradient array}.
+    Returns a map {leaf Tensor: gradient array}, leaves in order of first
+    appearance on the tape.
+
+    Each entry is dropped once its rule has run, and each op output's grad
+    once that rule has read it, so an activation or gradient lives only as
+    long as backward needs it. Afterwards only the leaves and the root keep
+    a grad; len(tape) still counts the entries recorded.
     """
     tape = _TAPE
     if tape is None:
@@ -1200,15 +1210,28 @@ def backward(root):
     if root not in tape._produced:
         raise TapeError("root is detached from the active tape")
 
-    for outs, inputs, _ in tape.ops:
+    leaves = {}  # in order of first appearance
+    # the loop below rebinds these three names; one left bound (a ``_``)
+    # would keep the last entry's rule alive through the whole backward
+    for outs, inputs, bw in tape.ops:
         for t in outs:
             t.grad = None
         for t in inputs:
             t.grad = None
+            if t.requires_grad and t not in tape._produced:
+                leaves[t] = None
+    tape._produced.clear()  # it alone would keep every op output alive
+    tape.consumed = True
     root.grad = np.ones_like(root.data)
 
-    for outs, inputs, bw in reversed(tape.ops):
+    ops = tape.ops
+    for k in range(len(ops) - 1, -1, -1):
+        outs, inputs, bw = ops[k]
+        ops[k] = None  # the list keeps its length: len(tape) still counts
         gs = [t.grad for t in outs]
+        for t in outs:
+            if t is not root:
+                t.grad = None
         if all(g is None for g in gs):
             continue
         grads = bw(*gs)
@@ -1216,14 +1239,8 @@ def backward(root):
             if gt is None or not t.requires_grad:
                 continue
             t.grad = gt if t.grad is None else t.grad + gt
-    tape.consumed = True
-
-    leaves = {}
-    for _, inputs, _ in tape.ops:
-        for t in inputs:
-            if t.requires_grad and t not in tape._produced and t not in leaves:
-                leaves[t] = t.grad if t.grad is not None else np.zeros_like(t.data)
-    return leaves
+    return {t: t.grad if t.grad is not None else np.zeros_like(t.data)
+            for t in leaves}
 
 
 @dataclass

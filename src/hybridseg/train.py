@@ -68,11 +68,14 @@ def adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8,
         g = grads[k]
         if not np.isfinite(g).all():
             raise NonFiniteError(f"non-finite gradient for {k}")
-        state.m[k] = beta1 * state.m[k] + (1.0 - beta1) * g
-        state.v[k] = beta2 * state.v[k] + (1.0 - beta2) * g * g
-        mhat = state.m[k] / (1.0 - beta1**t)
-        vhat = state.v[k] / (1.0 - beta2**t)
-        p.data = p.data - lr * mhat / (np.sqrt(vhat) + eps)
+        m, v = state.m[k], state.v[k]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        mhat = m / (1.0 - beta1**t)
+        vhat = v / (1.0 - beta2**t)
+        p.data -= lr * mhat / (np.sqrt(vhat) + eps)
     state.t = t
     return params, state
 
@@ -208,6 +211,9 @@ def train(model_cfg, train_cfg, dataset, out_dir=None, init_checkpoint=None):
                     for k, t in trainable.items()
                 }
                 adam_step(trainable, grads, state, lr)
+                del grads  # no gradient need live through the next forward
+                for t in trainable.values():
+                    t.grad = None
                 batches += 1
         except NonFiniteError:
             aborted = True

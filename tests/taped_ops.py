@@ -1,10 +1,14 @@
-"""Taped primitives that only the tests use.
+"""Taped primitives and tape oracles that only the tests use.
 
 The composed oracles (window attention, normalization, the separable-conv
 block and the Swin MLP built from small ops) need a few differentiable ops
 that the library itself no longer runs. They record onto the active tape
 through tensor._register, so the oracles keep a taped backward to compare
 the fused primitives' hand-written ones against.
+
+backward_retaining is tensor.backward as it was before backward released
+the tape as it ran, and closure_arrays lists what a tape entry's rule
+holds; the tests of what the tape keeps alive use both.
 """
 
 import numpy as np
@@ -76,3 +80,58 @@ def roll2d(a, shifts):
         return (np.roll(g, (-sy, -sx), axis=(-2, -1)),)
 
     return T._register(out, [a], bw)
+
+
+def backward_retaining(root):
+    """tensor.backward that keeps every tape entry and every intermediate
+    gradient to the end: the oracle for the releasing backward's leaf
+    gradients. Returns {leaf: gradient} in order of first appearance."""
+    tape = T.active_tape()
+    if tape is None or tape.consumed or root not in tape._produced:
+        raise T.TapeError("backward_retaining needs a live tape and its root")
+    for outs, inputs, _ in tape.ops:
+        for t in outs:
+            t.grad = None
+        for t in inputs:
+            t.grad = None
+    root.grad = np.ones_like(root.data)
+
+    for outs, inputs, bw in reversed(tape.ops):
+        gs = [t.grad for t in outs]
+        if all(g is None for g in gs):
+            continue
+        grads = bw(*gs)
+        for t, gt in zip(inputs, grads):
+            if gt is None or not t.requires_grad:
+                continue
+            t.grad = gt if t.grad is None else t.grad + gt
+    tape.consumed = True
+
+    leaves = {}
+    for _, inputs, _ in tape.ops:
+        for t in inputs:
+            if t.requires_grad and t not in tape._produced and t not in leaves:
+                leaves[t] = t.grad if t.grad is not None else np.zeros_like(t.data)
+    return leaves
+
+
+def closure_arrays(fn):
+    """Every NumPy array a function's closure cells reach, through nested
+    functions, tuples and lists; a cell emptied by del holds nothing."""
+    found, seen, todo = [], set(), [fn]
+    while todo:
+        v = todo.pop()
+        if id(v) in seen:
+            continue
+        seen.add(id(v))
+        if isinstance(v, np.ndarray):
+            found.append(v)
+        elif isinstance(v, (tuple, list)):
+            todo.extend(v)
+        elif hasattr(v, "__closure__"):
+            for cell in v.__closure__ or ():
+                try:
+                    todo.append(cell.cell_contents)
+                except ValueError:
+                    pass
+    return found

@@ -482,6 +482,36 @@ class TestNormalizePrimitive:
         assert np.array_equal(out.data, ref.data)
 
     @pytest.mark.parametrize("axes,given", [((0, 2, 3), False), ((1,), False),
+                                            ((0, 2, 3), True), ((1,), True)])
+    def test_entry_keeps_no_centred_copy(self, axes, given):
+        # the backward recomputes x - mean: the entry holds x itself and no
+        # other array of its shape
+        rng = np.random.default_rng(46)
+        xdata = rng.uniform(-3, 3, (2, 3, 4, 5))
+        reduced = tuple(1 if i in axes else s for i, s in enumerate(xdata.shape))
+        stats = (rng.uniform(-1, 1, reduced), rng.uniform(0.1, 2, reduced)) \
+            if given else None
+        gamma, beta = (Tensor(rng.uniform(-2, 2, 3), requires_grad=True)
+                       for _ in range(2))
+        x = Tensor(xdata, requires_grad=True)
+        with T.record() as tape:
+            T.normalize(x, gamma, beta, axes, 1e-2, stats)
+            (_, _, bw), = tape.ops
+            held = [a.shape for a in O.closure_arrays(bw)
+                    if a.shape == xdata.shape and a is not x.data]
+        assert held == []
+        weights = rng.uniform(-1, 1, xdata.shape)
+        out, grads = _normalize_grads(
+            lambda *a: T.normalize(*a, axes, 1e-2, stats)[0],
+            xdata, gamma, beta, weights)
+        ref, ref_grads = _normalize_grads(
+            lambda *a: normalize_composed(*a, list(axes), 1e-2, stats),
+            xdata, gamma, beta, weights)
+        assert np.array_equal(out, ref)
+        for g, r in zip(grads, ref_grads):
+            assert np.array_equal(g, r)
+
+    @pytest.mark.parametrize("axes,given", [((0, 2, 3), False), ((1,), False),
                                             ((0, 2, 3), True)])
     def test_one_tape_entry(self, axes, given):
         rng = np.random.default_rng(44)

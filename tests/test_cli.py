@@ -29,9 +29,10 @@ def tiny_train_config(tmp_path, **extra):
     return path
 
 
-def tiny_checkpoint(path):
+def tiny_checkpoint(path, num_classes=1):
     cfg = M.ModelConfig(input_height=16, input_width=16, base_channels=2,
-                        window_size=2, num_heads=2, mlp_ratio=1.0)
+                        num_classes=num_classes, window_size=2, num_heads=2,
+                        mlp_ratio=1.0)
     M.save_checkpoint(M.build(cfg, 0), path)
     return path
 
@@ -150,6 +151,29 @@ class TestTrainEvalPredict:
         rows = (out / "log.csv").read_text().splitlines()
         assert rows[0].split(",")[5] == "loss_b"
         assert [r.split(",")[5] for r in rows[1:]] == ["0", "0"]
+
+    @pytest.mark.parametrize("num_classes", [1, 3])
+    def test_all_background_masks_eval(self, tmp_path, dataset_dir,
+                                       num_classes):
+        # no foreground anywhere: sensitivity and the absent classes'
+        # Hausdorff distances are undefined, so their cells stay blank
+        samples, _ = cli.read_dataset(dataset_dir)
+        empty = tmp_path / "empty"
+        cli.write_dataset([(img, np.zeros_like(mask)) for img, mask in samples],
+                          empty, num_classes)
+        report = tmp_path / "report.csv"
+        assert run(
+            "eval", "--checkpoint",
+            str(tiny_checkpoint(tmp_path / "ckpt", num_classes)),
+            "--data", str(empty), "--report", str(report),
+        ) == 0
+        header, *rows = [line.split(",")
+                         for line in report.read_text().splitlines()]
+        assert len(rows) == len(samples) + 1  # and the mean±std row
+        blank = ["Sn"] + [f"HD_class_{k}" for k in range(1, num_classes)]
+        assert set(blank) <= set(header)
+        for row in rows:
+            assert [row[header.index(c)] for c in blank] == [""] * len(blank)
 
     def test_missing_data_is_io_error(self, tmp_path):
         cfg = tiny_train_config(tmp_path)

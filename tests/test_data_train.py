@@ -135,6 +135,30 @@ class TestAdam:
         expect = adam_oracle(1.0, lambda x_: 2.0 * x_, lr=0.05, steps=10)
         assert abs(p["x"].data[0] - expect) <= 1e-12
 
+    def test_in_place_steps_are_bitwise_the_formula(self):
+        # m, v and the parameters are updated in their own arrays, in the
+        # formula's operation order, so every element is the oracle's
+        rng = np.random.default_rng(9)
+        x0 = {k: rng.standard_normal(s)
+              for k, s in {"w": (3, 2, 3, 3), "b": (5,), "s": ()}.items()}
+        p = {k: Tensor(x.copy(), requires_grad=True) for k, x in x0.items()}
+        state = TR.AdamState.for_params(p)
+        arrays = [p[k].data for k in p] + list(state.m.values()) + list(
+            state.v.values())
+
+        def grad_fn(x):
+            return np.sin(3.0 * x) + x**3
+
+        for _ in range(6):
+            TR.adam_step(p, {k: grad_fn(t.data) for k, t in p.items()}, state,
+                         lr=0.01)
+        for k, x in x0.items():
+            assert np.array_equal(p[k].data,
+                                  adam_oracle(x, grad_fn, lr=0.01, steps=6))
+        after = [p[k].data for k in p] + list(state.m.values()) + list(
+            state.v.values())
+        assert all(a is b for a, b in zip(arrays, after))
+
     def test_key_mismatch(self):
         p = {"w": Tensor(np.zeros(2), requires_grad=True)}
         state = TR.AdamState.for_params(p)

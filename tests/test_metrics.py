@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridseg import metrics as M
 from hybridseg.tensor import ShapeError
@@ -272,6 +274,62 @@ class TestMulticlassReport:
             )["D"]
             if s.any() and g.any():
                 assert rep.rows[0][f"HD_class_{k}"] == hausdorff_oracle(s, g)
+
+
+def _label_map(kind, rng, shape, num_classes):
+    """An all-background, all-foreground (the last class) or random (H, W)
+    label map."""
+    if kind == "empty":
+        return np.zeros(shape, dtype=int)
+    if kind == "full":
+        return np.full(shape, num_classes - 1)
+    return rng.integers(0, num_classes, shape)
+
+
+def _assert_cells_in_range(report):
+    for row in report.rows + [
+        {c: None if v is None else v[0] for c, v in report.aggregate().items()}
+    ]:
+        for c in report.columns:
+            v = row[c]
+            if v is None:
+                continue
+            assert math.isfinite(v), (c, v)
+            assert v >= 0.0 if c.startswith("HD") else 0.0 <= v <= 100.0, (c, v)
+
+
+masks = st.lists(st.tuples(st.sampled_from(["empty", "full", "random"]),
+                           st.sampled_from(["empty", "full", "random"])),
+                 min_size=1, max_size=3)
+
+
+class TestReportsTotal:
+    """Any masks, empty and full ones included, give a report: every cell
+    is blank or a percentage in [0, 100], and a Hausdorff cell is >= 0."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(kinds=masks, height=st.integers(1, 7), width=st.integers(1, 7),
+           seed=st.integers(0, 2**16))
+    def test_binary_report(self, kinds, height, width, seed):
+        rng = np.random.default_rng(seed)
+        preds = [_label_map(k, rng, (height, width), 2) > 0 for k, _ in kinds]
+        truths = [_label_map(k, rng, (height, width), 2) > 0 for _, k in kinds]
+        _assert_cells_in_range(M.binary_report(preds, truths))
+
+    @settings(deadline=None, max_examples=60)
+    @given(kinds=masks, height=st.integers(1, 7), width=st.integers(1, 7),
+           num_classes=st.integers(1, 4), seed=st.integers(0, 2**16))
+    def test_multiclass_report(self, kinds, height, width, num_classes, seed):
+        rng = np.random.default_rng(seed)
+        shape = (height, width)
+        probs, labels = [], []
+        for pred_kind, truth_kind in kinds:
+            decided = _label_map(pred_kind, rng, shape, num_classes)
+            # noise below the one-hot margin keeps decided as the argmax
+            probs.append(0.5 * (decided == np.arange(num_classes)[:, None, None])
+                         + rng.uniform(0.0, 0.4, (num_classes,) + shape))
+            labels.append(_label_map(truth_kind, rng, shape, num_classes))
+        _assert_cells_in_range(M.multiclass_report(probs, labels, num_classes))
 
 
 class TestReportCsv:

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from hybridseg import losses as L
 from hybridseg import model as M
 from hybridseg import tensor as T
 from hybridseg.tensor import FormatError, ShapeError, Tensor, grad_check
+from taped_ops import backward_retaining, closure_arrays
 
 
 def tiny_config(**kw):
@@ -15,28 +18,6 @@ def tiny_config(**kw):
     )
     base.update(kw)
     return M.ModelConfig(**base)
-
-
-def closure_arrays(fn):
-    """Every NumPy array a function's closure cells reach, through nested
-    functions, tuples and lists; a cell emptied by del holds nothing."""
-    found, seen, todo = [], set(), [fn]
-    while todo:
-        v = todo.pop()
-        if id(v) in seen:
-            continue
-        seen.add(id(v))
-        if isinstance(v, np.ndarray):
-            found.append(v)
-        elif isinstance(v, (tuple, list)):
-            todo.extend(v)
-        elif hasattr(v, "__closure__"):
-            for cell in v.__closure__ or ():
-                try:
-                    todo.append(cell.cell_contents)
-                except ValueError:
-                    pass
-    return found
 
 
 # closed-form parameter counts for the hand-count test
@@ -442,6 +423,90 @@ class TestCounters:
             held += [(bw.__qualname__, a.shape) for a in closure_arrays(bw)
                      if a.ndim == 2 and a.shape in patch_shapes]
         assert held == []
+
+
+def training_loss(params, cfg, seed):
+    """A training forward plus the three-term loss on a random batch of 2,
+    as train.train records it; only the scalar loss is returned, so the
+    tape alone keeps the intermediates alive."""
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.uniform(0, 1, (2, 1, cfg.input_height, cfg.input_width)))
+    mask = rng.uniform(0, 1, (2, cfg.input_height, cfg.input_width)) < 0.4
+    g = Tensor(mask[:, None].astype(float))
+    level_sets = np.stack([L.level_set(m).values for m in mask])[:, None]
+    out = M.forward(params, x, training=True)
+    return L.composite_loss(out, g, L.LossSchedule(), 0,
+                            level_sets=level_sets)[0]
+
+
+# the arrays a rule keeps besides its inputs, by the op that made the entry
+HELD_BY_RULE = {"window_attention": ("p",),
+                "conv_lstm_step": ("i", "f", "o", "g", "tc")}
+
+
+def watch_entries(tape, root):
+    """Weak references to what every entry but the first keeps alive: its
+    output arrays (the root's aside), its rule, and the attention
+    probabilities and ConvLSTM gate activations in that rule's closure."""
+    refs = []
+    for outs, _, bw in tape.ops[1:]:
+        op = bw.__qualname__.split(".")[0]
+        refs += [(op, weakref.ref(t.data)) for t in outs if t is not root]
+        refs.append((op, weakref.ref(bw)))
+        for name in HELD_BY_RULE.get(op, ()):
+            if name not in bw.__code__.co_freevars:
+                continue
+            cell = bw.__closure__[bw.__code__.co_freevars.index(name)]
+            try:
+                refs.append((f"{op}.{name}", weakref.ref(cell.cell_contents)))
+            except ValueError:  # the zero-state step has no forget gate
+                pass
+    return refs
+
+
+@pytest.mark.parametrize("mode", ["single", "paired"])
+class TestBackwardReleasesTape:
+    def test_entries_are_released_before_the_first_rule_runs(self, mode):
+        cfg = tiny_config(skip_sequence_mode=mode)
+        params = M.build(cfg, 0)
+        alive_at_first = []
+        with T.record() as tape:
+            root = training_loss(params, cfg, 7)
+            refs = watch_entries(tape, root)
+            assert {op for op, _ in refs} >= {
+                "window_attention", "window_attention.p", "conv_lstm_step.i",
+                "conv_lstm_step.o", "conv_lstm_step.g", "conv_lstm_step.tc"}
+            outs, inputs, first = tape.ops[0]
+
+            def watched(*gs):
+                alive_at_first.append([op for op, r in refs if r() is not None])
+                return first(*gs)
+
+            tape.ops[0] = (outs, inputs, watched)
+            T.backward(root)
+        assert alive_at_first == [[]]
+
+    def test_only_leaves_and_root_keep_gradients(self, mode):
+        cfg = tiny_config(skip_sequence_mode=mode)
+
+        def run(backward):
+            params = M.build(cfg, 0)
+            with T.record() as tape:
+                root = training_loss(params, cfg, 7)
+                recorded = len(tape)
+                produced = [t for outs, _, _ in tape.ops for t in outs]
+                leaves = backward(root)
+            return len(tape) - recorded, produced, root, leaves
+
+        lost, produced, root, leaves = run(T.backward)
+        assert lost == 0  # len(tape) still counts the recorded entries
+        assert root.grad is not None
+        assert [t for t in produced if t is not root and t.grad is not None] == []
+        oracle = run(backward_retaining)[3]
+        assert len(leaves) == len(oracle)
+        for (t, g), (t_ref, g_ref) in zip(leaves.items(), oracle.items()):
+            assert t.shape == t_ref.shape and g is t.grad
+            assert np.array_equal(g, g_ref)
 
 
 class TestCheckpoint:
