@@ -404,7 +404,7 @@ def _cmd_complexity(args):
         return 0
     values = _load_kv(args.config, args.set)
     cfg = M.config_from_text("", overrides=values)
-    params = M.build(cfg, seed=0)
+    params = M.allocate(cfg)
     h, w = cfg.input_height // 8, cfg.input_width // 8
     d = 8 * cfg.base_channels
     print(f"params={M.count_params(params)}")

@@ -148,7 +148,27 @@ class ModelParams:
 
 def build(config, seed):
     """Deterministically initialized parameters for the given configuration."""
-    rng = np.random.default_rng(seed)
+    return _build(config, np.random.default_rng(seed))
+
+
+class _Zeros:
+    """Stand-in random source for _build: each draw is zeros of the asked
+    shape, so a build whose weights are replaced next draws no numbers."""
+
+    @staticmethod
+    def normal(loc, scale, size):
+        return np.zeros(size)
+
+
+def allocate(config):
+    """The parameters of the given configuration with every randomly drawn
+    weight zero: the shapes that load_checkpoint fills and that count_params
+    counts, at no cost in random numbers."""
+    return _build(config, _Zeros())
+
+
+def _build(config, rng):
+    """Parameters for the configuration, each weight drawn by rng.normal."""
     c = config.base_channels
 
     def sep_pair(cin, mid):
@@ -395,6 +415,14 @@ def save_checkpoint(params, directory):
     (directory / "config.txt").write_text(config_to_text(params.config))
 
 
+def _read_text(path):
+    """The UTF-8 text of a checkpoint file; other bytes are a FormatError."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def load_checkpoint_tensors(directory):
     """Read {key: Tensor} from a checkpoint directory. The manifest names each
     key once, and its records, sorted by offset, tile tensors.bin exactly.
@@ -407,7 +435,7 @@ def load_checkpoint_tensors(directory):
     buf = blob_path.read_bytes()
     out = {}
     spans = []
-    for line in manifest_path.read_text().splitlines():
+    for line in _read_text(manifest_path).splitlines():
         if not line.strip():
             continue
         try:
@@ -461,11 +489,13 @@ def _stack_gate_keys(tensors):
 
 
 def load_checkpoint(directory):
-    """Rebuild ModelParams from a checkpoint directory, bitwise faithful."""
+    """Rebuild ModelParams from a checkpoint directory, bitwise faithful. The
+    parameters are allocated by shape (allocate) and filled from the stored
+    tensors, so a load draws no random numbers."""
     directory = Path(directory)
     config_path = directory / "config.txt"
-    cfg = config_from_text(config_path.read_text(), source=str(config_path))
-    params = build(cfg, seed=0)
+    cfg = config_from_text(_read_text(config_path), source=str(config_path))
+    params = allocate(cfg)
     stored = load_checkpoint_tensors(directory)
     flat = params.flat()
     if set(stored) != set(flat):

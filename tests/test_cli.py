@@ -1,7 +1,13 @@
+import contextlib
 import dataclasses
+import io
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridseg import cli
 from hybridseg import data as D
@@ -291,6 +297,17 @@ class TestCheckpointFormat:
                    "--out", str(tmp_path / "m.pgm")) == 2
         assert "long.pgm" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["config.txt", "manifest.txt"])
+    def test_predict_rejects_non_utf8_text(self, tmp_path, dataset_dir, capsys,
+                                           name):
+        ckpt = tiny_checkpoint(tmp_path / "ckpt")
+        with open(ckpt / name, "ab") as fh:
+            fh.write(b"\x80\n")
+        assert run("predict", "--checkpoint", str(ckpt), "--image",
+                   str(dataset_dir / "img_0000.pgm"), "--out",
+                   str(tmp_path / "m.pgm")) == 2
+        assert f"{name} is not UTF-8 text" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value,code", [("False", 0), ("True", 1)])
     def test_config_with_removed_field(self, tmp_path, dataset_dir, value, code):
         ckpt = tiny_checkpoint(tmp_path / "ckpt")
@@ -333,6 +350,100 @@ class TestCheckpointFormat:
                    "--out", str(tmp_path / "m.pgm")) == 1
         err = capsys.readouterr().err
         assert f"{ckpt / 'config.txt'}: key 'skip_lstm' given twice" in err
+
+
+def run_quiet(*argv):
+    """(exit code, standard error) of cli.run, its output kept quiet."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        return run(*argv), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def served(tmp_path_factory):
+    """A 3-class checkpoint and a 16x16 image it accepts."""
+    root = tmp_path_factory.mktemp("served")
+    ckpt = tiny_checkpoint(root / "ckpt", num_classes=3)
+    image = root / "img.pgm"
+    pixels = np.random.default_rng(4).integers(0, 256, (1, 16, 16)) / 255.0
+    pgm.write_image(pgm.ImageRecord(pixels=pixels), image)
+    return ckpt, image
+
+
+def predict_corrupt(served, manifest=None, blob=None, image=None):
+    """predict on a copy of the served checkpoint and image with the given
+    bytes in place of manifest.txt, tensors.bin or the image."""
+    ckpt, img = served
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "ckpt").mkdir()
+        for name, data in (("config.txt", None), ("manifest.txt", manifest),
+                           ("tensors.bin", blob)):
+            (tmp / "ckpt" / name).write_bytes(
+                (ckpt / name).read_bytes() if data is None else data)
+        (tmp / "img.pgm").write_bytes(img.read_bytes() if image is None
+                                      else image)
+        return run_quiet("predict", "--checkpoint", str(tmp / "ckpt"),
+                         "--image", str(tmp / "img.pgm"), "--out",
+                         str(tmp / "mask.pgm"))
+
+
+class TestPredictOnCorruptFiles:
+    """A cut, extended or mutated checkpoint or image makes predict exit 2
+    with one error line, never a traceback."""
+
+    def test_pristine_files_predict(self, served):
+        assert predict_corrupt(served) == (0, "")
+
+    @settings(deadline=None, max_examples=30)
+    @given(target=st.sampled_from(["manifest.txt", "tensors.bin", "image"]),
+           data=st.data())
+    def test_cut(self, served, target, data):
+        raw = self.read(served, target)
+        # a manifest may lose its final newline and stay valid
+        end = len(raw.rstrip()) if target == "manifest.txt" else len(raw)
+        cut = raw[:data.draw(st.integers(0, end - 1))]
+        code, err = predict_corrupt(served, **self.replace(target, cut))
+        assert code == 2 and err.startswith("hybridseg: io error:"), err
+
+    @settings(deadline=None, max_examples=30)
+    @given(target=st.sampled_from(["manifest.txt", "tensors.bin", "image"]),
+           extra=st.binary(min_size=1, max_size=32))
+    def test_extended(self, served, target, extra):
+        try:
+            blank = not extra.decode("utf-8").split()
+        except UnicodeDecodeError:
+            blank = False
+        if blank and target == "manifest.txt":  # blank lines are allowed
+            return
+        raw = self.read(served, target)
+        code, err = predict_corrupt(served, **self.replace(target, raw + extra))
+        assert code == 2 and err.startswith("hybridseg: io error:"), err
+
+    @settings(deadline=None, max_examples=60)
+    @given(target=st.sampled_from(["manifest.txt", "tensors.bin", "image"]),
+           data=st.data())
+    def test_mutated_byte(self, served, target, data):
+        raw = bytearray(self.read(served, target))
+        at = data.draw(st.integers(0, len(raw) - 1))
+        raw[at] = data.draw(st.integers(0, 255).filter(lambda v: v != raw[at]))
+        code, err = predict_corrupt(served, **self.replace(target, bytes(raw)))
+        # a changed payload byte can be a valid pixel or weight
+        assert code in (0, 1, 2), (code, err)
+        if code:
+            assert err.startswith("hybridseg: "), err
+            assert err.count("\n") == 1 and "Traceback" not in err, err
+
+    @staticmethod
+    def read(served, target):
+        ckpt, image = served
+        return (image if target == "image" else ckpt / target).read_bytes()
+
+    @staticmethod
+    def replace(target, raw):
+        return {"manifest.txt": {"manifest": raw}, "tensors.bin": {"blob": raw},
+                "image": {"image": raw}}[target]
 
 
 # every settable field, with a non-default value and what it should read as
@@ -474,6 +585,27 @@ class TestComplexityVerb:
 
     def test_partial_direct_flags_rejected(self):
         assert run("complexity", "--h", "8") == 1
+
+    @pytest.mark.parametrize("sets", [
+        [],
+        ["input_height=16", "input_width=16", "base_channels=2",
+         "num_heads=2", "window_size=2", "num_classes=3",
+         "transformer_placement=decoder_pools", "skip_sequence_mode=paired"],
+    ])
+    def test_config_mode_counts_without_drawing(self, capsys, monkeypatch,
+                                                sets):
+        cfg = M.config_from_text("", overrides=dict(
+            kv.split("=") for kv in sets))
+        expected = (f"params={M.count_params(M.build(cfg, seed=0))}\n"
+                    f"flops={M.count_flops(cfg)}\n")
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("complexity drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        argv = ["complexity"] + [a for kv in sets for a in ("--set", kv)]
+        assert run(*argv) == 0
+        assert capsys.readouterr().out.startswith(expected)
 
 
 class TestTtestVerb:

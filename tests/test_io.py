@@ -1,5 +1,11 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hybridseg import metrics as ME
 from hybridseg import pgm
@@ -149,3 +155,126 @@ class TestOverlay:
                 np.zeros((1, 4, 4)), np.zeros((4, 4)), np.zeros((5, 5)),
                 tmp_path / "o4.ppm",
             )
+
+
+# 8-bit images of one (P5) or three (P6) channels, 1 to 8 pixels a side
+images = arrays(np.uint8, st.tuples(st.sampled_from([1, 3]),
+                                    st.integers(1, 8), st.integers(1, 8)))
+
+
+def encode(raw):
+    """The bytes write_image writes for the uint8 image raw."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "a.pgm"
+        pgm.write_image(pgm.ImageRecord(pixels=raw / 255.0), path)
+        return path.read_bytes()
+
+
+def read(data, reader=pgm.read_image, **kw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "a.pgm"
+        path.write_bytes(data)
+        return reader(path, **kw)
+
+
+READERS = [(pgm.read_image, {}), (pgm.read_mask, {"num_classes": 1}),
+           (pgm.read_mask, {"num_classes": 256})]
+
+
+class TestPgmProperties:
+    """Round trips and corruptions of PGM/PPM files: a read returns the
+    written values bitwise, or a damaged file raises FormatError."""
+
+    @settings(deadline=None)
+    @given(raw=images)
+    def test_image_round_trip(self, raw):
+        data = encode(raw)
+        back = read(data)
+        assert back.pixels.tobytes() == (raw / 255.0).tobytes()
+        assert encode(np.round(back.pixels * 255.0).astype(np.uint8)) == data
+
+    @settings(deadline=None)
+    @given(labels=arrays(np.int64, st.tuples(st.integers(1, 8),
+                                            st.integers(1, 8)),
+                         elements=st.integers(0, 5)),
+           binary=st.booleans())
+    def test_mask_round_trip(self, labels, binary):
+        num_classes = 1 if binary else 6
+        labels = labels % 2 if binary else labels
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.pgm"
+            pgm.write_mask(pgm.MaskRecord(labels, num_classes), path)
+            back = pgm.read_mask(path, num_classes=num_classes)
+        assert np.array_equal(back.labels, labels)
+
+    @settings(deadline=None)
+    @given(raw=images, reader=st.sampled_from(READERS), data=st.data())
+    def test_cut(self, raw, reader, data):
+        full = encode(raw)
+        cut = data.draw(st.integers(0, len(full) - 1))
+        with pytest.raises(FormatError):
+            read(full[:cut], reader[0], **reader[1])
+
+    @settings(deadline=None)
+    @given(raw=images, reader=st.sampled_from(READERS),
+           extra=st.binary(min_size=1, max_size=16))
+    def test_extended(self, raw, reader, extra):
+        with pytest.raises(FormatError):
+            read(encode(raw) + extra, reader[0], **reader[1])
+
+    @settings(deadline=None)
+    @given(raw=images, reader=st.sampled_from(READERS),
+           field=st.sampled_from(["magic", "width", "height", "maxval"]),
+           data=st.data())
+    def test_mutated_header_field(self, raw, reader, field, data):
+        c, h, w = raw.shape
+        header = {"magic": b"P5" if c == 1 else b"P6", "width": w,
+                  "height": h, "maxval": 255}
+        if field == "magic":
+            new = data.draw(st.binary(min_size=2, max_size=2))
+        else:
+            new = data.draw(st.integers(0, 10**30))
+        if new == header[field]:
+            return
+        header[field] = new
+        body = raw[0] if c == 1 else raw.transpose(1, 2, 0)
+        bad = (header["magic"] + b"\n"
+               + f"{header['width']} {header['height']}\n"
+                 f"{header['maxval']}\n".encode() + body.tobytes())
+        with pytest.raises(FormatError):
+            read(bad, reader[0], **reader[1])
+
+    @settings(deadline=None, max_examples=200)
+    @given(raw=images, reader=st.sampled_from(READERS), data=st.data())
+    def test_mutated_byte(self, raw, reader, data):
+        full = bytearray(encode(raw))
+        at = data.draw(st.integers(0, len(full) - 1))
+        full[at] = data.draw(st.integers(0, 255).filter(lambda v: v != full[at]))
+        try:
+            rec = read(bytes(full), reader[0], **reader[1])
+        except FormatError:
+            return
+        # what still reads is a well-formed record: a changed pixel, or a
+        # header separator swapped for another
+        if reader[0] is pgm.read_image:
+            assert rec.pixels.shape[0] in (1, 3)
+            assert 0.0 <= rec.pixels.min() and rec.pixels.max() <= 1.0
+        else:
+            assert rec.labels.min() >= 0
+            assert rec.labels.max() < max(2, reader[1]["num_classes"])
+
+    @settings(deadline=None)
+    @given(labels=arrays(np.uint8, st.tuples(st.integers(1, 6),
+                                            st.integers(1, 6)),
+                         elements=st.sampled_from([0, 255])),
+           data=st.data())
+    def test_mask_byte_out_of_range(self, labels, data):
+        i = data.draw(st.integers(0, labels.shape[0] - 1))
+        j = data.draw(st.integers(0, labels.shape[1] - 1))
+        labels[i, j] = data.draw(st.integers(1, 254))
+        h, w = labels.shape
+        bad = f"P5\n{w} {h}\n255\n".encode() + labels.tobytes()
+        with pytest.raises(FormatError):
+            read(bad, pgm.read_mask, num_classes=1)
+        with pytest.raises(FormatError):
+            read(bad, pgm.read_mask, num_classes=int(labels[i, j]))

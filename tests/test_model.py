@@ -1,7 +1,11 @@
+import tempfile
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridseg import blocks as B
 from hybridseg import losses as L
@@ -128,6 +132,35 @@ class TestBuild:
     def test_heads_must_divide(self):
         with pytest.raises(ValueError):
             tiny_config(base_channels=3, num_heads=2)
+
+
+class TestAllocate:
+    @pytest.mark.parametrize("placement", M.PLACEMENTS)
+    def test_shapes_and_fixed_values_match_build(self, placement):
+        cfg = tiny_config(transformer_placement=placement,
+                          skip_sequence_mode="paired", num_classes=3)
+        built, zeros = M.build(cfg, seed=4).flat(), M.allocate(cfg).flat()
+        assert list(zeros) == list(built)
+        drawn = 0
+        for k, t in built.items():
+            z = zeros[k]
+            assert z.shape == t.shape and z.requires_grad == t.requires_grad, k
+            if np.array_equal(z.data, t.data):  # ones, zeros: not drawn
+                continue
+            assert not z.data.any(), k
+            drawn += 1
+        assert drawn > 0
+        assert M.count_params(M.allocate(cfg)) == M.count_params(
+            M.build(cfg, seed=0))
+
+    def test_draws_no_random_numbers(self, monkeypatch):
+        def no_rng(*args, **kwargs):
+            raise AssertionError("random numbers drawn")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        assert M.count_params(M.allocate(tiny_config())) > 0
+        with pytest.raises(AssertionError, match="random numbers drawn"):
+            M.build(tiny_config(), seed=0)
 
 
 class TestForward:
@@ -569,6 +602,146 @@ class TestCheckpoint:
             M.load_checkpoint(old)
         with pytest.raises(FormatError, match=drop):
             M.transfer_weights(M.build(tiny_config(), seed=18), old)
+
+    @pytest.mark.parametrize("placement", ["skips_and_dense", "decoder_pools"])
+    @pytest.mark.parametrize("mode", ["single", "paired"])
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch,
+                                          placement, mode):
+        cfg = tiny_config(transformer_placement=placement,
+                          skip_sequence_mode=mode)
+        params = M.build(cfg, seed=21)
+        M.save_checkpoint(params, tmp_path)
+        saved = params.flat()
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew random numbers")
+
+        monkeypatch.setattr(M.np.random, "default_rng", no_rng)
+        loaded = M.load_checkpoint(tmp_path)
+        assert loaded.config == cfg
+        flat = loaded.flat()
+        assert list(flat) == list(saved)
+        for k, t in saved.items():
+            assert flat[k].data.tobytes() == t.data.tobytes(), k
+            assert flat[k].requires_grad == t.requires_grad, k
+
+
+def tensor_bytes(params):
+    return {k: t.data.tobytes() for k, t in params.flat().items()}
+
+
+def _corrupt_copy(src, dst, manifest=None, blob=None):
+    """Copy checkpoint src to dst, replacing manifest.txt and tensors.bin by
+    the given bytes."""
+    dst.mkdir()
+    for name, data in (("config.txt", None), ("manifest.txt", manifest),
+                       ("tensors.bin", blob)):
+        (dst / name).write_bytes((src / name).read_bytes() if data is None
+                                 else data)
+    return dst
+
+
+class TestCheckpointProperties:
+    """Round trips and corruptions of the checkpoint files: a load either
+    returns the saved tensors bitwise or raises FormatError."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        ckpt = tmp_path_factory.mktemp("ckpt") / "ckpt"
+        params = M.build(tiny_config(num_classes=3, skip_sequence_mode="paired"),
+                         seed=12)
+        M.save_checkpoint(params, ckpt)
+        return (ckpt, (ckpt / "manifest.txt").read_bytes(),
+                (ckpt / "tensors.bin").read_bytes(), tensor_bytes(params))
+
+    def load(self, saved, manifest=None, blob=None):
+        with tempfile.TemporaryDirectory() as tmp:
+            return M.load_checkpoint(
+                _corrupt_copy(saved[0], Path(tmp) / "c", manifest, blob))
+
+    @settings(deadline=None, max_examples=25)
+    @given(placement=st.sampled_from(M.PLACEMENTS),
+           mode=st.sampled_from(["single", "paired"]), skip_lstm=st.booleans(),
+           num_classes=st.sampled_from([1, 3]), seed=st.integers(0, 2**16))
+    def test_round_trip_bitwise(self, placement, mode, skip_lstm, num_classes,
+                                seed):
+        cfg = tiny_config(transformer_placement=placement,
+                          skip_sequence_mode=mode, skip_lstm=skip_lstm,
+                          num_classes=num_classes)
+        params = M.build(cfg, seed=seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            M.save_checkpoint(params, tmp)
+            loaded = M.load_checkpoint(tmp)
+        assert loaded.config == cfg
+        assert tensor_bytes(loaded) == tensor_bytes(params)
+
+    @settings(deadline=None, max_examples=40)
+    @given(data=st.data())
+    def test_cut_tensors_bin(self, saved, data):
+        cut = data.draw(st.integers(0, len(saved[2]) - 1))
+        with pytest.raises(FormatError):
+            self.load(saved, blob=saved[2][:cut])
+
+    @settings(deadline=None, max_examples=25)
+    @given(extra=st.binary(min_size=1, max_size=64))
+    def test_extended_tensors_bin(self, saved, extra):
+        with pytest.raises(FormatError, match="trailing bytes"):
+            self.load(saved, blob=saved[2] + extra)
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_mutated_tensors_bin(self, saved, data):
+        blob = bytearray(saved[2])
+        at = data.draw(st.integers(0, len(blob) - 1))
+        blob[at] = data.draw(st.integers(0, 255).filter(lambda v: v != blob[at]))
+        try:
+            params = self.load(saved, blob=bytes(blob))
+        except FormatError:
+            return
+        # a changed payload byte is a finite value the format cannot tell
+        # from the saved one; the load holds it, so a save writes it back
+        with tempfile.TemporaryDirectory() as tmp:
+            M.save_checkpoint(params, tmp)
+            assert (Path(tmp) / "tensors.bin").read_bytes() == bytes(blob)
+        loaded = tensor_bytes(params)
+        assert sum(loaded[k] != saved[3][k] for k in loaded) == 1
+
+    @settings(deadline=None, max_examples=40)
+    @given(data=st.data())
+    def test_cut_manifest(self, saved, data):
+        # the cut loses at least one character of the last line
+        cut = data.draw(st.integers(0, len(saved[1].rstrip()) - 1))
+        with pytest.raises(FormatError):
+            self.load(saved, manifest=saved[1][:cut])
+
+    @settings(deadline=None, max_examples=40)
+    @given(extra=st.binary(min_size=1, max_size=40))
+    def test_extended_manifest(self, saved, extra):
+        try:
+            blank = not extra.decode("utf-8").split()
+        except UnicodeDecodeError:
+            blank = False
+        if blank:  # blank lines are allowed
+            params = self.load(saved, manifest=saved[1] + extra)
+            assert tensor_bytes(params) == saved[3]
+            return
+        with pytest.raises(FormatError):
+            self.load(saved, manifest=saved[1] + extra)
+
+    @settings(deadline=None, max_examples=80)
+    @given(data=st.data())
+    def test_mutated_manifest(self, saved, data):
+        manifest = bytearray(saved[1])
+        at = data.draw(st.integers(0, len(manifest) - 1))
+        manifest[at] = data.draw(
+            st.integers(0, 255).filter(lambda v: v != manifest[at]))
+        try:
+            params = self.load(saved, manifest=bytes(manifest))
+        except FormatError:
+            return
+        # only a separator swapped for another one leaves the manifest valid
+        assert bytes(manifest).decode().split() == saved[1].decode().split()
+        assert tensor_bytes(params) == saved[3]
 
 
 class TestTransfer:

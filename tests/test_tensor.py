@@ -60,6 +60,15 @@ class TestElementwise:
         ref[~pos] = ex / (1.0 + ex)
         assert T.sigmoid(Tensor(x)).data.tobytes() == ref.tobytes()
 
+    @settings(deadline=None)
+    @given(x=arrays(np.float64, array_shapes(max_dims=3, max_side=6),
+                    elements=st.floats(-800.0, 800.0)))
+    def test_sigmoid_equals_one_plus_z_twice(self, x):
+        # the expression before 1 + z was computed once
+        z = np.exp(-np.abs(x))
+        ref = np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+        assert np.array_equal(T._sigmoid(x), ref)
+
     def test_add(self):
         out = T.add(Tensor([1.0, 2.0]), Tensor([3.0, 4.0]))
         assert np.array_equal(out.data, [4.0, 6.0])
@@ -366,6 +375,66 @@ class TestTapedOpsModule:
         leaves, f = cases[name]
         res = grad_check(lambda *_: f(), leaves, eps=1e-5)
         assert res.max_rel_error <= 1e-4, res
+
+
+# the 1x1 convolution's forward and input gradient as written before they
+# could run as one NCHW product per image: the oracles for their bits
+def pointwise_forward_oracle(xd, wd):
+    y = np.tensordot(xd, wd.reshape(wd.shape[0], -1), axes=([1], [1]))
+    return np.ascontiguousarray(y.transpose(0, 3, 1, 2))
+
+
+def pointwise_input_grad_oracle(g, wd):
+    w2 = wd.reshape(wd.shape[0], -1)
+    return np.ascontiguousarray(
+        np.tensordot(g, w2, axes=([1], [0])).transpose(0, 3, 1, 2))
+
+
+class TestPointwiseProduct:
+    def check(self, b, cin, cout, h, w, seed):
+        rng = np.random.default_rng(seed)
+        xd = rng.standard_normal((b, cin, h, w))
+        wd = rng.standard_normal((cout, cin, 1, 1))
+        g = rng.standard_normal((b, cout, h, w))
+        y = T._conv(xd, wd, 0, False)
+        gx, gw = T._conv_grads(g, xd, wd, 0, False, True, True)
+        assert np.array_equal(y, pointwise_forward_oracle(xd, wd))
+        assert np.array_equal(gx, pointwise_input_grad_oracle(g, wd))
+        assert y.flags.c_contiguous and gx.flags.c_contiguous
+        assert np.array_equal(gw, np.tensordot(
+            g, xd, axes=([0, 2, 3], [0, 2, 3])).reshape(wd.shape))
+
+    @settings(deadline=None, max_examples=200)
+    @given(b=st.integers(1, 3), cin=st.integers(1, 5), cout=st.integers(1, 5),
+           h=st.integers(1, 9), w=st.integers(1, 9), seed=st.integers(0, 2**16))
+    def test_bitwise_equal_to_oracle(self, b, cin, cout, h, w, seed):
+        self.check(b, cin, cout, h, w, seed)
+
+    @pytest.mark.parametrize("b,cin,cout,h,w", [
+        (1, 8, 32, 64, 64),  # separable conv pointwise at 64x64
+        (8, 8, 32, 32, 32),
+        (8, 32, 8, 32, 32),  # Swin MLP output layer
+        (1, 1, 8, 64, 64),  # stem: one input channel
+        (8, 8, 1, 32, 32),  # binary head: one output channel
+        (2, 32, 16, 4, 4),  # a BLAS small-matrix kernel splits this sum
+        (2, 15, 16, 4, 4),
+        (8, 256, 64, 4, 4),
+        (1, 64, 256, 8, 8),
+        (3, 12, 5, 1, 1),
+    ])
+    def test_model_shapes(self, b, cin, cout, h, w):
+        self.check(b, cin, cout, h, w, seed=b * cin + cout)
+
+    def test_conv2d_backward_uses_the_oracle_bits(self):
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.standard_normal((2, 3, 5, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 3, 1, 1)), requires_grad=True)
+        g = rng.standard_normal((2, 4, 5, 4))
+        with record():
+            y = T.conv2d(x, w)
+            backward(T.tsum(y * Tensor(g)))
+        assert np.array_equal(y.data, pointwise_forward_oracle(x.data, w.data))
+        assert np.array_equal(x.grad, pointwise_input_grad_oracle(g, w.data))
 
 
 class TestSerialization:
