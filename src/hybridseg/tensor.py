@@ -586,26 +586,9 @@ def _conv(xd, wd, p, depthwise):
         if depthwise:
             return _depthwise_conv(xd, wd, p)
         if wd.shape[2:] == (1, 1):
-            return _pointwise(wd.reshape(wd.shape[0], -1), xd)
+            y = np.tensordot(xd, wd.reshape(wd.shape[0], -1), axes=([1], [1]))
+            return np.ascontiguousarray(y.transpose(0, 3, 1, 2))
         return _dense_conv(xd, wd, p)
-
-
-def _pointwise(w2, xd):
-    """w2 (M, K) applied to the channels of the NCHW array xd (B, K, H, W).
-
-    The reference is one (B*H*W, K) x (K, M) product, transposed to NCHW.
-    Where it gives the same bits, each image instead takes one (M, K) x
-    (K, H*W) product that writes NCHW directly, with no transposed copy.
-    The bits differ where a product has one output row or one pixel
-    (NumPy's matrix-vector path sums in another order) and, with OpenBLAS's
-    SkylakeX kernels, from K = 16 on: its small-matrix kernels then split
-    the sum over K for one operand order and not the other."""
-    b, k, h, w = xd.shape
-    m = w2.shape[0]
-    if m > 1 and h * w > 1 and k < 16:
-        return (w2 @ xd.reshape(b, k, h * w)).reshape(b, m, h, w)
-    y = np.tensordot(xd, w2, axes=([1], [1]))
-    return np.ascontiguousarray(y.transpose(0, 3, 1, 2))
 
 
 def _conv_grads(g, xd, wd, p, depthwise, need_x, need_w):
@@ -618,7 +601,9 @@ def _conv_grads(g, xd, wd, p, depthwise, need_x, need_w):
         w2 = wd.reshape(cout, -1)
         gx = gw = None
         if need_x:
-            gx = _pointwise(w2.T, g)
+            gx = np.ascontiguousarray(
+                np.tensordot(g, w2, axes=([1], [0])).transpose(0, 3, 1, 2)
+            )
         if need_w:
             gw = np.tensordot(g, xd, axes=([0, 2, 3], [0, 2, 3]))
             gw = gw.reshape(wd.shape)

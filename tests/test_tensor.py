@@ -60,15 +60,6 @@ class TestElementwise:
         ref[~pos] = ex / (1.0 + ex)
         assert T.sigmoid(Tensor(x)).data.tobytes() == ref.tobytes()
 
-    @settings(deadline=None)
-    @given(x=arrays(np.float64, array_shapes(max_dims=3, max_side=6),
-                    elements=st.floats(-800.0, 800.0)))
-    def test_sigmoid_equals_one_plus_z_twice(self, x):
-        # the expression before 1 + z was computed once
-        z = np.exp(-np.abs(x))
-        ref = np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
-        assert np.array_equal(T._sigmoid(x), ref)
-
     def test_add(self):
         out = T.add(Tensor([1.0, 2.0]), Tensor([3.0, 4.0]))
         assert np.array_equal(out.data, [4.0, 6.0])
@@ -377,8 +368,9 @@ class TestTapedOpsModule:
         assert res.max_rel_error <= 1e-4, res
 
 
-# the 1x1 convolution's forward and input gradient as written before they
-# could run as one NCHW product per image: the oracles for their bits
+# the 1x1 convolution's forward and input gradient as one (B*H*W, K)
+# product transposed to NCHW: oracles that pin their bits, so that another
+# product form (one NCHW product per image, say) must match them exactly
 def pointwise_forward_oracle(xd, wd):
     y = np.tensordot(xd, wd.reshape(wd.shape[0], -1), axes=([1], [1]))
     return np.ascontiguousarray(y.transpose(0, 3, 1, 2))
@@ -416,7 +408,7 @@ class TestPointwiseProduct:
         (8, 32, 8, 32, 32),  # Swin MLP output layer
         (1, 1, 8, 64, 64),  # stem: one input channel
         (8, 8, 1, 32, 32),  # binary head: one output channel
-        (2, 32, 16, 4, 4),  # a BLAS small-matrix kernel splits this sum
+        (2, 32, 16, 4, 4),  # the gradcheck --scope model shape
         (2, 15, 16, 4, 4),
         (8, 256, 64, 4, 4),
         (1, 64, 256, 8, 8),
