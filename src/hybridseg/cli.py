@@ -452,75 +452,96 @@ def _cmd_ablate(args):
     return 0
 
 
+_VERBS = ("synth", "train", "eval", "predict", "gradcheck", "complexity",
+         "ttest", "ablate")
+
+
 def build_parser():
+    return _parser(_VERBS)
+
+
+def _parser(verbs):
+    """The hybridseg parser with the subparsers of the given verbs only; a
+    verb's subparser and help text do not depend on which others exist."""
     parser = Parser(prog="hybridseg", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("synth", parents=[], help="generate a synthetic dataset")
-    p.add_argument("--spec", help="flat key=value spec file")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                   help="override a spec value (repeatable)")
-    p.add_argument("--out", required=True, help="output dataset directory")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=_cmd_synth)
+    if "synth" in verbs:
+        p = sub.add_parser("synth", help="generate a synthetic dataset")
+        p.add_argument("--spec", help="flat key=value spec file")
+        p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                       help="override a spec value (repeatable)")
+        p.add_argument("--out", required=True, help="output dataset directory")
+        p.add_argument("--seed", type=int, default=0)
+        p.set_defaults(fn=_cmd_synth)
 
-    p = sub.add_parser("train", help="train a model on a dataset directory")
-    p.add_argument("--config", help="flat key=value model+training config")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE")
-    p.add_argument("--data", required=True, help="dataset directory")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(fn=_cmd_train)
+    if "train" in verbs:
+        p = sub.add_parser("train", help="train a model on a dataset directory")
+        p.add_argument("--config", help="flat key=value model+training config")
+        p.add_argument("--set", action="append", metavar="KEY=VALUE")
+        p.add_argument("--data", required=True, help="dataset directory")
+        p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--seed", type=int, default=None)
+        p.set_defaults(fn=_cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--report", required=True, help="metrics CSV path")
-    p.add_argument("--overlay-dir", help="write per-image overlays here")
-    p.set_defaults(fn=_cmd_eval)
+    if "eval" in verbs:
+        p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
+        p.add_argument("--checkpoint", required=True)
+        p.add_argument("--data", required=True)
+        p.add_argument("--report", required=True, help="metrics CSV path")
+        p.add_argument("--overlay-dir", help="write per-image overlays here")
+        p.set_defaults(fn=_cmd_eval)
 
-    p = sub.add_parser("predict", help="segment a single PGM/PPM image")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--image", required=True)
-    p.add_argument("--out", required=True, help="output mask path")
-    p.set_defaults(fn=_cmd_predict)
+    if "predict" in verbs:
+        p = sub.add_parser("predict", help="segment a single PGM/PPM image")
+        p.add_argument("--checkpoint", required=True)
+        p.add_argument("--image", required=True)
+        p.add_argument("--out", required=True, help="output mask path")
+        p.set_defaults(fn=_cmd_predict)
 
-    p = sub.add_parser("gradcheck",
-                       help="finite-difference validation of gradients")
-    p.add_argument("--scope", choices=("ops", "blocks", "model"),
-                   required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=_cmd_gradcheck)
+    if "gradcheck" in verbs:
+        p = sub.add_parser("gradcheck",
+                           help="finite-difference validation of gradients")
+        p.add_argument("--scope", choices=("ops", "blocks", "model"),
+                       required=True)
+        p.add_argument("--seed", type=int, default=0)
+        p.set_defaults(fn=_cmd_gradcheck)
 
-    p = sub.add_parser("complexity",
-                       help="parameter, FLOP, and attention cost counters")
-    p.add_argument("--config", help="model config file")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE")
-    p.add_argument("--h", type=int, help="attention grid height (direct mode)")
-    p.add_argument("--w", type=int, help="attention grid width (direct mode)")
-    p.add_argument("--d", type=int, help="embedding dimension (direct mode)")
-    p.add_argument("--n", type=int, help="window size (direct mode)")
-    p.add_argument("--literal-eq15", action="store_true",
-                   help="use the quadratic window-attention count variant")
-    p.set_defaults(fn=_cmd_complexity)
+    if "complexity" in verbs:
+        p = sub.add_parser("complexity",
+                           help="parameter, FLOP, and attention cost counters")
+        p.add_argument("--config", help="model config file")
+        p.add_argument("--set", action="append", metavar="KEY=VALUE")
+        p.add_argument("--h", type=int, help="attention grid height (direct mode)")
+        p.add_argument("--w", type=int, help="attention grid width (direct mode)")
+        p.add_argument("--d", type=int, help="embedding dimension (direct mode)")
+        p.add_argument("--n", type=int, help="window size (direct mode)")
+        p.add_argument("--literal-eq15", action="store_true",
+                       help="use the quadratic window-attention count variant")
+        p.set_defaults(fn=_cmd_complexity)
 
-    p = sub.add_parser("ttest", help="paired t-test between two score files")
-    p.add_argument("--a", required=True, help="scores file, one per line")
-    p.add_argument("--b", required=True)
-    p.add_argument("--out", help="optional CSV output")
-    p.set_defaults(fn=_cmd_ttest)
+    if "ttest" in verbs:
+        p = sub.add_parser("ttest", help="paired t-test between two score files")
+        p.add_argument("--a", required=True, help="scores file, one per line")
+        p.add_argument("--b", required=True)
+        p.add_argument("--out", help="optional CSV output")
+        p.set_defaults(fn=_cmd_ttest)
 
-    p = sub.add_parser("ablate", help="run an ablation table")
-    p.add_argument("--mode", choices=("placement", "loss_combo", "transfer"),
-                   required=True)
-    p.add_argument("--out", help="CSV output path")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=_cmd_ablate)
+    if "ablate" in verbs:
+        p = sub.add_parser("ablate", help="run an ablation table")
+        p.add_argument("--mode", choices=("placement", "loss_combo", "transfer"),
+                       required=True)
+        p.add_argument("--out", help="CSV output path")
+        p.add_argument("--seed", type=int, default=0)
+        p.set_defaults(fn=_cmd_ablate)
     return parser
 
 
 def run(argv):
-    parser = build_parser()
+    # a request parses with its verb's subparser alone; --help, a missing
+    # or unknown verb get the whole parser, whose messages list every verb
+    verbs = argv[:1] if argv[:1] and argv[0] in _VERBS else _VERBS
+    parser = _parser(verbs)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

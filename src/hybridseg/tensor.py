@@ -7,6 +7,13 @@ and accumulates gradients into the participating tensors. It releases each
 entry, and each intermediate tensor's gradient, as soon as it has used them,
 so afterwards only the leaves and the root keep a ``grad``.
 
+A tape entry keeps what its backward cannot cheaply rebuild, and its
+backward recomputes the rest bit for bit with the forward's own ops: a
+convolution keeps its inputs, not its patch matrix; window_attention keeps
+the per-head q, k^T and v and the softmax's row max and row sum, not the
+attention probabilities, the context or the token rows; pointwise_mlp
+keeps its inputs, not its ReLU hidden layer.
+
 The tape is strictly single-threaded: one tape is active at a time and
 recording onto a consumed tape is an error. Tensors that never touch a tape
 are plain immutable values and safe to share across threads.
@@ -285,7 +292,9 @@ def neg(a):
 def _sigmoid(x):
     z = np.exp(-np.abs(x))  # never overflows
     d = 1.0 + z
-    return np.where(x >= 0, 1.0 / d, z / d)
+    # 1 / d where x >= 0 (there z <= 1), z / d elsewhere: the two-branch
+    # form's bits without its data-dependent select
+    return np.maximum(z, x >= 0) / d
 
 
 def sigmoid(a):
@@ -867,7 +876,9 @@ def pointwise_mlp(x, w1, b1, w2, b2):
     hidden, 1, 1), b2: (Cout,). The forward repeats the NumPy sequence of
     the same MLP composed from conv2d, reshape, add and relu, so outputs are
     bitwise equal to it; the backward is written out in that composition's
-    order from x and the hidden activation, the only arrays the entry keeps.
+    order. The entry keeps x and the weights and no hidden layer: the
+    backward recomputes the ReLU hidden layer from x, bit for bit, without
+    reporting its kinks or mask to grad_check again.
     """
     xd = x.data
     hid, dout = w1.shape[0] if w1.ndim else 0, w2.shape[0] if w2.ndim else 0
@@ -880,33 +891,36 @@ def pointwise_mlp(x, w1, b1, w2, b2):
             f"{w2.shape} and biases {b1.shape}, {b2.shape}"
         )
     inputs = [x, w1, b1, w2, b2]
-    keep = _recording(inputs)
+    w1d, b1d, w2d = w1.data, b1.data, w2.data
     need_hidden = x.requires_grad or w1.requires_grad or b1.requires_grad
 
     # a conv output that is not finite stays so after a finite bias
     with np.errstate(over="ignore", invalid="ignore"):
-        hidden = _conv(xd, w1.data, 0, False)
-        hidden += b1.data.reshape(1, hid, 1, 1)
+        hidden = _conv(xd, w1d, 0, False)
+        hidden += b1d.reshape(1, hid, 1, 1)
         _check_finite(hidden, "pointwise_mlp hidden layer")
         _kink_hook(lambda: float(np.min(np.abs(hidden))) if hidden.size else np.inf)
         _pattern_hook(hidden > 0.0)
         np.maximum(hidden, 0.0, out=hidden)
-        y = _conv(hidden, w2.data, 0, False)
+        y = _conv(hidden, w2d, 0, False)
         y += b2.data.reshape(1, dout, 1, 1)
         _check_finite(y, "pointwise_mlp")
-    if not keep:
-        hidden = None  # no tape entry will need it
     out = Tensor(y)
 
     def bw(g):
         g_b2 = _unbroadcast(g, (1, dout, 1, 1)).reshape(-1)
-        gh, g_w2 = _conv_grads(g, hidden, w2.data, 0, False, need_hidden,
+        # the forward's hidden layer, recomputed by the same ops
+        h = _conv(xd, w1d, 0, False)
+        h += b1d.reshape(1, hid, 1, 1)
+        np.maximum(h, 0.0, out=h)
+        gh, g_w2 = _conv_grads(g, h, w2d, 0, False, need_hidden,
                                w2.requires_grad)
         if gh is None:
             return None, None, None, g_w2, g_b2
-        gh *= hidden > 0.0  # the ReLU mask, from its output
+        gh *= h > 0.0  # the ReLU mask, from its output
+        del h
         g_b1 = _unbroadcast(gh, (1, hid, 1, 1)).reshape(-1)
-        gx, g_w1 = _conv_grads(gh, xd, w1.data, 0, False, x.requires_grad,
+        gx, g_w1 = _conv_grads(gh, xd, w1d, 0, False, x.requires_grad,
                                w1.requires_grad)
         return gx, g_w1, g_b1, g_w2, g_b2
 
@@ -924,10 +938,32 @@ def _windows(a, n):
     return np.ascontiguousarray(t).reshape(-1, c)
 
 
-def _unwindows(rows, shape, n):
-    b, c, h, w = shape
-    t = rows.reshape(b, h // n, w // n, n, n, c).transpose(0, 5, 1, 3, 2, 4)
-    return np.ascontiguousarray(t).reshape(shape)
+_TOKEN_CACHE = {}
+
+
+def _token_order(c, h, w, n, shift):
+    """Per-image flat indices (to_rows, to_map) for a (B, c, h, w) array.
+
+    a.reshape(B, -1).take(to_rows, axis=1) is _windows(np.roll(a, (-shift,
+    -shift)), n), the token rows of the shifted map window by window, and
+    rows.reshape(B, -1).take(to_map, axis=1) is its inverse: the rows put
+    back in the map and shifted by (shift, shift). One gather each way
+    replaces a roll and a layout copy.
+    """
+    key = (c, h, w, n, shift)
+    if key not in _TOKEN_CACHE:
+        pix = np.roll(np.arange(h * w).reshape(h, w), (-shift, -shift),
+                      axis=(0, 1))
+        pix = pix.reshape(h // n, n, w // n, n).transpose(0, 2, 1, 3)
+        to_rows = (pix.reshape(-1, 1) + np.arange(c) * (h * w)).reshape(-1)
+        to_map = np.empty_like(to_rows)
+        to_map[to_rows] = np.arange(to_rows.size)
+        # the narrowest type that holds them: a quarter of intp's cache
+        # at these sizes, and take is as fast
+        small = np.min_scalar_type(to_rows.size - 1)
+        to_rows, to_map = to_rows.astype(small), to_map.astype(small)
+        _TOKEN_CACHE[key] = to_rows, to_map
+    return _TOKEN_CACHE[key]
 
 
 def _split_heads(rows, windows, heads):
@@ -937,11 +973,37 @@ def _split_heads(rows, windows, heads):
     return t.reshape(windows * heads, t.shape[2], t.shape[3])
 
 
+def _biased_heads(part, bias):
+    """(windows, T, heads, hd) view plus a (heads*hd,) bias -> (windows*heads,
+    T, hd): _split_heads of the biased rows, written in one pass."""
+    windows, tokens, heads, hd = part.shape
+    out = np.empty((windows, heads, tokens, hd))
+    np.add(part.transpose(0, 2, 1, 3), bias.reshape(heads, 1, hd), out=out)
+    return out.reshape(windows * heads, tokens, hd)
+
+
 def _merge_heads(a, windows):
     """(windows*heads, T, hd) -> (windows*T, heads*hd) token rows."""
     heads = a.shape[0] // windows
     t = a.reshape(windows, heads, a.shape[1], a.shape[2]).transpose(0, 2, 1, 3)
     return np.ascontiguousarray(t).reshape(-1, heads * a.shape[2])
+
+
+def _row_max(p):
+    """p.max(axis=-1, keepdims=True) as a new array, by halving the last
+    axis with np.maximum: the same maximum, about twice as fast at 16 keys.
+    It takes a quarter of the rows at a time, so that its buffers stay an
+    eighth of p's size."""
+    parts = []
+    for m in np.array_split(p, 4):
+        while m.shape[-1] > 1:
+            k = m.shape[-1] // 2
+            r = np.maximum(m[..., :k], m[..., k : 2 * k])
+            if m.shape[-1] % 2:
+                np.maximum(r[..., :1], m[..., 2 * k :], out=r[..., :1])
+            m = r
+        parts.append(m)
+    return np.concatenate(parts)
 
 
 _BLOCKED_CACHE = {}
@@ -965,20 +1027,43 @@ def _shift_blocked(height, width, n, shift):
     return _BLOCKED_CACHE[key]
 
 
+def _attention_probs(q, kt, scale, blocked, heads, stats=None):
+    """Softmax over keys of the scaled scores q @ kt, with the pairs blocked
+    (None for no shift) masked out, and its (row max, row sum) statistics.
+    Given the statistics of an earlier call on the same q and kt, the same
+    ops in the same order rebuild its probabilities bit for bit."""
+    p = q @ kt
+    p *= scale
+    if blocked is not None:
+        tokens = p.shape[-1]
+        np.copyto(p.reshape(-1, len(blocked), heads, tokens, tokens), -np.inf,
+                  where=blocked[:, None])
+    row_max = _row_max(p) if stats is None else stats[0]
+    p -= row_max
+    np.exp(p, out=p)
+    row_sum = p.sum(axis=2, keepdims=True) if stats is None else stats[1]
+    p /= row_sum
+    return p, row_max, row_sum
+
+
 def window_attention(x, qkv_w, q_bias, v_bias, proj_w, proj_b, n, heads, shift):
     """Multi-head self-attention within n x n windows of an NCHW map.
 
     The map is cyclically shifted by (-shift, -shift) first, and token pairs
     that became window-mates only through that wrap do not attend to each
     other; the output is shifted back. Queries and values carry biases, keys
-    do not. One tape entry: the backward is written out by hand from the
-    cached tokens, per-head q, k^T, v, probabilities P and merged context,
-    with dS = P * (dP - rowsum(dP * P)) on the scores.
+    do not. One tape entry, with dS = P * (dP - rowsum(dP * P)) on the
+    scores. The entry keeps the per-head q, k^T and v and the row max and
+    row sum of the softmax, not the probabilities P: the backward rebuilds P
+    from them with the forward's own ops, so bit for bit, and then the
+    context and the token rows.
     """
     xd = x.data
     if xd.ndim != 4:
         raise ShapeError("window_attention expects a rank-4 input")
     b, c, h, w = xd.shape
+    if not b * h * w:
+        raise ShapeError(f"window_attention: no tokens in {xd.shape}")
     if h % n or w % n or c % heads or not 0 <= shift < n:
         raise ShapeError(
             f"window_attention: {(h, w)} in windows of {n}, {c} channels "
@@ -989,49 +1074,62 @@ def window_attention(x, qkv_w, q_bias, v_bias, proj_w, proj_b, n, heads, shift):
     ):
         raise ShapeError(f"window_attention weights do not match {c} channels")
     wqkv, wproj = qkv_w.data, proj_w.data
-    nwin = b * (h // n) * (w // n)
-    scale = 1.0 / math.sqrt(c // heads)
+    nwin, tokens, hd = b * (h // n) * (w // n), n * n, c // heads
+    scale = 1.0 / math.sqrt(hd)
+    rows_index, map_index = _token_order(c, h, w, n, shift)
+    blocked = _shift_blocked(h, w, n, shift) if shift else None
+
+    def to_rows(a):  # an NCHW map -> token rows of the shifted map
+        return a.reshape(b, c * h * w).take(rows_index, axis=1).reshape(-1, c)
+
+    def to_map(rows):  # token rows -> the NCHW map, shifted back
+        return rows.reshape(b, c * h * w).take(map_index, axis=1).reshape(
+            xd.shape)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = _windows(np.roll(xd, (-shift, -shift), axis=(-2, -1)), n)
-        qkv = rows @ wqkv
-        q = _split_heads(qkv[:, :c] + q_bias.data, nwin, heads)
-        kt = qkv[:, c : 2 * c].reshape(nwin, n * n, heads, -1).transpose(0, 2, 3, 1)
-        kt = np.ascontiguousarray(kt).reshape(nwin * heads, -1, n * n)
-        v = _split_heads(qkv[:, 2 * c :] + v_bias.data, nwin, heads)
+        qkv = to_rows(xd) @ wqkv
+        qkv = qkv.reshape(nwin, tokens, 3, heads, hd)
+        q = _biased_heads(qkv[:, :, 0], q_bias.data)
+        # copied, so that no kept array pins the qkv block
+        kt = qkv[:, :, 1].transpose(0, 2, 3, 1).copy()
+        kt = kt.reshape(nwin * heads, hd, tokens)
+        v = _biased_heads(qkv[:, :, 2], v_bias.data)
         del qkv
-        p = q @ kt
-        p *= scale
-        if shift:
-            blocked = _shift_blocked(h, w, n, shift)
-            np.copyto(p.reshape(b, -1, heads, n * n, n * n), -np.inf,
-                      where=blocked[:, None])
-        p -= p.max(axis=2, keepdims=True)
-        np.exp(p, out=p)
-        p /= p.sum(axis=2, keepdims=True)
-        ctx = _merge_heads(p @ v, nwin)
-        y = ctx @ wproj
+        p, row_max, row_sum = _attention_probs(q, kt, scale, blocked, heads)
+        y = _merge_heads(p @ v, nwin) @ wproj
+        del p
         y += proj_b.data
-        out = Tensor(np.roll(_unwindows(y, xd.shape, n), (shift, shift),
-                             axis=(-2, -1)))
+        out = Tensor(to_map(y))
 
     def bw(g):
-        g_rows = _windows(np.roll(g, (-shift, -shift), axis=(-2, -1)), n)
+        g_rows = to_rows(g)
         g_ctx = _split_heads(g_rows @ wproj.T, nwin, heads)
+        p = _attention_probs(q, kt, scale, blocked, heads,
+                             (row_max, row_sum))[0]
+        ctx = _merge_heads(p @ v, nwin)
         ds = g_ctx @ v.transpose(0, 2, 1)
         dv = p.transpose(0, 2, 1) @ g_ctx
-        ds -= (ds * p).sum(axis=2, keepdims=True)
+        # the row sums of dP * P, one image at a time, so that no third
+        # array of P's size is live next to P and dP
+        dot, step = np.empty_like(row_sum), len(ds) // max(b, 1)
+        for s in (slice(i * step, (i + 1) * step) for i in range(b)):
+            np.sum(ds[s] * p[s], axis=2, keepdims=True, out=dot[s])
+        ds -= dot
         ds *= p
+        del p
         ds *= scale
-        dq = ds @ kt.transpose(0, 2, 1)
-        dkt = q.transpose(0, 2, 1) @ ds
-        dqkv = np.concatenate(
-            [_merge_heads(dq, nwin), _merge_heads(dkt.transpose(0, 2, 1), nwin),
-             _merge_heads(dv, nwin)], axis=1)
-        gx = _unwindows(dqkv @ wqkv.T, xd.shape, n)
+        # dq, dk and dv in the column layout of qkv, each written once
+        dqkv = np.empty((nwin, tokens, 3, heads, hd))
+        dqkv[:, :, 0] = (ds @ kt.transpose(0, 2, 1)).reshape(
+            nwin, heads, tokens, hd).transpose(0, 2, 1, 3)
+        dqkv[:, :, 1] = (q.transpose(0, 2, 1) @ ds).reshape(
+            nwin, heads, hd, tokens).transpose(0, 3, 1, 2)
+        dqkv[:, :, 2] = dv.reshape(
+            nwin, heads, tokens, hd).transpose(0, 2, 1, 3)
+        dqkv = dqkv.reshape(-1, 3 * c)
         return (
-            np.roll(gx, (shift, shift), axis=(-2, -1)),
-            rows.T @ dqkv,
+            to_map(dqkv @ wqkv.T),
+            to_rows(xd).T @ dqkv,
             dqkv[:, :c].sum(axis=0),
             dqkv[:, 2 * c :].sum(axis=0),
             ctx.T @ g_rows,

@@ -9,7 +9,12 @@ the fused primitives' hand-written ones against.
 backward_retaining is tensor.backward as it was before backward released
 the tape as it ran, and closure_arrays lists what a tape entry's rule
 holds; the tests of what the tape keeps alive use both.
+window_attention_keeping_p and pointwise_mlp_keeping_hidden are the fused
+ops as they were while their entries kept the attention probabilities and
+the MLP hidden layer: the oracles for the recomputing entries' bits.
 """
+
+import math
 
 import numpy as np
 
@@ -135,3 +140,94 @@ def closure_arrays(fn):
                 except ValueError:
                     pass
     return found
+
+
+def window_attention_keeping_p(x, qkv_w, q_bias, v_bias, proj_w, proj_b, n,
+                               heads, shift):
+    """T.window_attention whose entry keeps the token rows, the per-head q,
+    k^T and v, the probabilities P and the merged context."""
+    xd = x.data
+    b, c, h, w = xd.shape
+    wqkv, wproj = qkv_w.data, proj_w.data
+    nwin = b * (h // n) * (w // n)
+    scale = 1.0 / math.sqrt(c // heads)
+
+    def unwindows(rows):
+        t = rows.reshape(b, h // n, w // n, n, n, c).transpose(0, 5, 1, 3, 2, 4)
+        return np.ascontiguousarray(t).reshape(xd.shape)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = T._windows(np.roll(xd, (-shift, -shift), axis=(-2, -1)), n)
+        qkv = rows @ wqkv
+        q = T._split_heads(qkv[:, :c] + q_bias.data, nwin, heads)
+        kt = qkv[:, c : 2 * c].reshape(nwin, n * n, heads, -1).transpose(0, 2, 3, 1)
+        kt = np.ascontiguousarray(kt).reshape(nwin * heads, -1, n * n)
+        v = T._split_heads(qkv[:, 2 * c :] + v_bias.data, nwin, heads)
+        del qkv
+        p = q @ kt
+        p *= scale
+        if shift:
+            blocked = T._shift_blocked(h, w, n, shift)
+            np.copyto(p.reshape(b, -1, heads, n * n, n * n), -np.inf,
+                      where=blocked[:, None])
+        p -= p.max(axis=2, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=2, keepdims=True)
+        ctx = T._merge_heads(p @ v, nwin)
+        y = ctx @ wproj
+        y += proj_b.data
+        out = Tensor(np.roll(unwindows(y), (shift, shift), axis=(-2, -1)))
+
+    def bw(g):
+        g_rows = T._windows(np.roll(g, (-shift, -shift), axis=(-2, -1)), n)
+        g_ctx = T._split_heads(g_rows @ wproj.T, nwin, heads)
+        ds = g_ctx @ v.transpose(0, 2, 1)
+        dv = p.transpose(0, 2, 1) @ g_ctx
+        ds -= (ds * p).sum(axis=2, keepdims=True)
+        ds *= p
+        ds *= scale
+        dq = ds @ kt.transpose(0, 2, 1)
+        dkt = q.transpose(0, 2, 1) @ ds
+        dqkv = np.concatenate(
+            [T._merge_heads(dq, nwin),
+             T._merge_heads(dkt.transpose(0, 2, 1), nwin),
+             T._merge_heads(dv, nwin)], axis=1)
+        gx = unwindows(dqkv @ wqkv.T)
+        return (
+            np.roll(gx, (shift, shift), axis=(-2, -1)),
+            rows.T @ dqkv,
+            dqkv[:, :c].sum(axis=0),
+            dqkv[:, 2 * c :].sum(axis=0),
+            ctx.T @ g_rows,
+            g_rows.sum(axis=0),
+        )
+
+    return T._register(out, [x, qkv_w, q_bias, v_bias, proj_w, proj_b], bw)
+
+
+def pointwise_mlp_keeping_hidden(x, w1, b1, w2, b2):
+    """T.pointwise_mlp whose entry keeps the ReLU hidden layer."""
+    xd = x.data
+    hid, dout = w1.shape[0], w2.shape[0]
+    need_hidden = x.requires_grad or w1.requires_grad or b1.requires_grad
+    with np.errstate(over="ignore", invalid="ignore"):
+        hidden = T._conv(xd, w1.data, 0, False)
+        hidden += b1.data.reshape(1, hid, 1, 1)
+        np.maximum(hidden, 0.0, out=hidden)
+        y = T._conv(hidden, w2.data, 0, False)
+        y += b2.data.reshape(1, dout, 1, 1)
+    out = Tensor(y)
+
+    def bw(g):
+        g_b2 = T._unbroadcast(g, (1, dout, 1, 1)).reshape(-1)
+        gh, g_w2 = T._conv_grads(g, hidden, w2.data, 0, False, need_hidden,
+                                 w2.requires_grad)
+        if gh is None:
+            return None, None, None, g_w2, g_b2
+        gh *= hidden > 0.0
+        g_b1 = T._unbroadcast(gh, (1, hid, 1, 1)).reshape(-1)
+        gx, g_w1 = T._conv_grads(gh, xd, w1.data, 0, False, x.requires_grad,
+                                 w1.requires_grad)
+        return gx, g_w1, g_b1, g_w2, g_b2
+
+    return T._register(out, [x, w1, b1, w2, b2], bw)

@@ -760,6 +760,34 @@ class TestPointwiseMlpPrimitive:
         if not x_grad:
             assert results[0][2][0] is None
 
+    @settings(deadline=None, max_examples=60)
+    @given(batch=st.integers(1, 3), cin=st.integers(1, 5),
+           hidden=st.integers(1, 8), cout=st.integers(1, 5),
+           height=st.integers(1, 5), width=st.integers(1, 5),
+           x_grad=st.booleans(), seed=st.integers(0, 2**16))
+    def test_recomputed_hidden_layer_matches_kept_one(
+            self, batch, cin, hidden, cout, height, width, x_grad, seed):
+        # the backward rebuilds the hidden layer from x: output and every
+        # gradient are bitwise those of the entry that kept it
+        rng = np.random.default_rng(seed)
+        leaves = _mlp_leaves(rng, cin, hidden, cout, (batch, cin, height, width),
+                             x_grad)
+        weights = rng.uniform(-1, 1, (batch, cout, height, width))
+        _assert_same(*(_leaf_grads(fn, leaves, weights)
+                       for fn in (T.pointwise_mlp,
+                                  O.pointwise_mlp_keeping_hidden)))
+
+    @pytest.mark.parametrize("x_grad", [True, False])
+    def test_entry_keeps_no_hidden_layer(self, x_grad):
+        leaves = _mlp_leaves(np.random.default_rng(56), 3, 5, 2, (2, 3, 4, 4),
+                             x_grad)
+        with T.record() as tape:
+            T.pointwise_mlp(*leaves)
+            (_, _, bw), = tape.ops
+            held = [a.shape for a in O.closure_arrays(bw)
+                    if a.shape == (2, 5, 4, 4)]
+        assert held == []
+
     def test_one_tape_entry(self):
         leaves = _mlp_leaves(np.random.default_rng(52), 3, 6, 3, (2, 3, 2, 2),
                              True)
@@ -1314,6 +1342,58 @@ class TestWindowAttentionPrimitive:
         for g, r in zip(grads, ref_grads):
             assert np.abs(g - r).max() <= 1e-12 * np.abs(r).max()
 
+    @settings(deadline=None, max_examples=80)
+    @given(batch=st.integers(1, 3), heads=st.sampled_from([1, 2, 4]),
+           head_dim=st.integers(1, 4), n=st.integers(2, 4),
+           rows=st.integers(1, 3), cols=st.integers(1, 3),
+           shifted=st.booleans(), x_grad=st.booleans(),
+           seed=st.integers(0, 2**16))
+    @example(batch=2, heads=2, head_dim=3, n=3, rows=2, cols=3, shifted=True,
+             x_grad=True, seed=1)
+    @example(batch=3, heads=4, head_dim=1, n=3, rows=3, cols=1, shifted=False,
+             x_grad=False, seed=2)
+    @example(batch=1, heads=1, head_dim=4, n=4, rows=2, cols=2, shifted=True,
+             x_grad=False, seed=3)
+    def test_recomputed_probabilities_match_kept_ones(
+            self, batch, heads, head_dim, n, rows, cols, shifted, x_grad, seed):
+        # the backward rebuilds P, the context and the token rows: output
+        # and every gradient are bitwise those of the entry that kept them
+        rng = np.random.default_rng(seed)
+        c = heads * head_dim
+        shape = (batch, c, rows * n, cols * n)
+        leaves = [Tensor(rng.uniform(-2, 2, shape), requires_grad=x_grad),
+                  Tensor(rng.normal(0, 1, (c, 3 * c)), requires_grad=True)]
+        leaves += [Tensor(rng.uniform(-1, 1, c), requires_grad=True)
+                   for _ in range(2)]
+        leaves += [Tensor(rng.normal(0, 1, (c, c)), requires_grad=True),
+                   Tensor(rng.uniform(-1, 1, c), requires_grad=True)]
+        shift = n // 2 if shifted else 0
+        weights = rng.uniform(-1, 1, shape)
+        results = [
+            _leaf_grads(lambda *a, fn=fn: fn(*a, n, heads, shift), leaves,
+                        weights)
+            for fn in (T.window_attention, O.window_attention_keeping_p)]
+        _assert_same(*results)
+        if not x_grad:
+            assert results[0][2][0] is None
+
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_entry_keeps_no_probabilities(self, shifted):
+        # 2 images of 6 windows, 2 heads of width 3, 4 tokens per window:
+        # P would be (24, 4, 4), larger than anything the entry may keep
+        rng = np.random.default_rng(30)
+        p = B.init_swin_pair(rng, 6, 2, 2)
+        x = Tensor(rng.uniform(-1, 1, (2, 6, 4, 6)), requires_grad=True)
+        with T.record() as tape:
+            B.window_attention(x, p, shifted=shifted)
+            (_, _, bw), = tape.ops
+            held = O.closure_arrays(bw)
+        assert [a.shape for a in held if a.shape == (24, 4, 4)] == []
+        assert [a.shape for a in held if a.size >= 24 * 4 * 4] == []
+        # q, k^T and v keep no view of a larger buffer, such as qkv's
+        assert [a.shape for a in held
+                if a.base is not None and a.base.size > a.size] == []
+
     @pytest.mark.parametrize("shifted", [False, True])
     def test_one_tape_entry(self, shifted):
         rng = np.random.default_rng(26)
@@ -1358,6 +1438,9 @@ class TestWindowAttentionPrimitive:
                 T.window_attention(x, *weights, n, heads, shift)
         with pytest.raises(ShapeError):
             T.window_attention(Tensor(np.zeros((1, 2, 4, 4))), *weights, 2, 2, 0)
+        for empty in ((0, 4, 4, 4), (1, 4, 0, 4), (2, 4, 4, 0)):
+            with pytest.raises(ShapeError, match="no tokens"):
+                T.window_attention(Tensor(np.zeros(empty)), *weights, 2, 2, 0)
 
 
 class TestSwinBlockPair:

@@ -19,6 +19,10 @@ from hybridseg import train as TR
 from test_model import per_gate_checkpoint
 
 
+VERBS = ("synth", "train", "eval", "predict", "gradcheck", "complexity",
+         "ttest", "ablate")
+
+
 def run(*argv):
     return cli.run(list(argv))
 
@@ -651,3 +655,52 @@ class TestArgumentHandling:
 
     def test_missing_required_flag(self):
         assert run("synth") == 1
+
+
+def full_parser_output(argv, capsys):
+    """(exit code, stdout, stderr) of the parser with every verb's
+    subparser, the one build_parser returns, on argv."""
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+class TestPerVerbParser:
+    # a request builds its verb's subparser alone; what it prints and
+    # returns must be what the parser with every verb gives
+    def test_help_lists_every_verb(self, capsys):
+        assert run("--help") == 0
+        out = capsys.readouterr().out
+        assert "{" + ",".join(VERBS) + "}" in out
+        assert (0, out, "") == full_parser_output(["--help"], capsys)
+
+    @pytest.mark.parametrize("verb", VERBS)
+    def test_verb_help_is_unchanged(self, verb, capsys):
+        assert run(verb, "--help") == 0
+        out, err = capsys.readouterr()
+        assert out.startswith(f"usage: hybridseg {verb} ") and err == ""
+        assert (0, out, err) == full_parser_output([verb, "--help"], capsys)
+
+    @pytest.mark.parametrize("argv", [["frobnicate"], [], ["--frobnicate"],
+                                      ["predict", "--image", "x"],
+                                      ["gradcheck", "--scope", "nothing"]]
+                             + [[verb, "--frobnicate"] for verb in VERBS])
+    def test_errors_are_unchanged(self, argv, capsys):
+        assert run(*argv) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("hybridseg") and out == ""
+        assert (1, out, err) == full_parser_output(argv, capsys)
+
+    def test_request_builds_only_its_verb(self, monkeypatch):
+        built = []
+        parser = cli._parser
+
+        def watching(verbs):
+            built.append(tuple(verbs))
+            return parser(verbs)
+
+        monkeypatch.setattr(cli, "_parser", watching)
+        assert run("ttest", "--a", "missing-a", "--b", "missing-b") == 2
+        assert run("frobnicate") == 1
+        assert built == [("ttest",), VERBS]

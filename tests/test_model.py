@@ -473,14 +473,15 @@ def training_loss(params, cfg, seed):
 
 
 # the arrays a rule keeps besides its inputs, by the op that made the entry
-HELD_BY_RULE = {"window_attention": ("p",),
+HELD_BY_RULE = {"window_attention": ("q", "kt", "v", "row_max", "row_sum"),
                 "conv_lstm_step": ("i", "f", "o", "g", "tc")}
 
 
 def watch_entries(tape, root):
     """Weak references to what every entry but the first keeps alive: its
-    output arrays (the root's aside), its rule, and the attention
-    probabilities and ConvLSTM gate activations in that rule's closure."""
+    output arrays (the root's aside), its rule, and the attention's per-head
+    q, k^T, v and softmax row statistics and the ConvLSTM gate activations
+    in that rule's closure."""
     refs = []
     for outs, _, bw in tape.ops[1:]:
         op = bw.__qualname__.split(".")[0]
@@ -507,7 +508,9 @@ class TestBackwardReleasesTape:
             root = training_loss(params, cfg, 7)
             refs = watch_entries(tape, root)
             assert {op for op, _ in refs} >= {
-                "window_attention", "window_attention.p", "conv_lstm_step.i",
+                "window_attention", "window_attention.q", "window_attention.kt",
+                "window_attention.v", "window_attention.row_max",
+                "window_attention.row_sum", "conv_lstm_step.i",
                 "conv_lstm_step.o", "conv_lstm_step.g", "conv_lstm_step.tc"}
             outs, inputs, first = tape.ops[0]
 

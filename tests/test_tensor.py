@@ -50,7 +50,8 @@ class TestElementwise:
         assert np.allclose(out.data, [0.5])
 
     def test_sigmoid_bitwise_equals_two_branch_form(self):
-        edges = [800.0, -800.0, 745.0, -745.0, 1e-300, -1e-300, 0.0, -0.0]
+        edges = [800.0, -800.0, 745.0, -745.0, 1e-300, -1e-300, 5e-324,
+                 -5e-324, 0.0, -0.0]
         draw = np.random.default_rng(8).standard_normal(2**18)
         x = np.concatenate([edges, draw, 10.0 * draw])
         ref = np.empty_like(x)
