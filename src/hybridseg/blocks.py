@@ -17,16 +17,6 @@ from . import tensor as T
 from .tensor import ShapeError, Tensor
 
 
-def _conv_same(x, w):
-    k = w.shape[-1]
-    return T.conv2d(x, w, padding=(k - 1) // 2, groups=1)
-
-
-def _per_channel(v, ndim=4):
-    """Reshape a per-channel vector (C,) for NCHW broadcasting."""
-    return T.reshape(v, (1, v.shape[0]) + (1,) * (ndim - 2))
-
-
 # ---------------------------------------------------------------------------
 # separable convolution + batch norm
 
@@ -208,7 +198,8 @@ def init_bconv_lstm(rng, in_ch, hidden, k=3):
 
 
 def bconv_lstm(sequence, p):
-    """Bidirectional ConvLSTM over a feature sequence.
+    """Bidirectional ConvLSTM over a feature sequence, one tape entry
+    (tensor.bconv_lstm).
 
     Both directions start from zero state. The forward pass runs first to
     last; the output mixes its final hidden state with the reverse pass's
@@ -218,23 +209,11 @@ def bconv_lstm(sequence, p):
     first step: only that one step is run, since the later reverse steps
     never reach the output.
     """
-    if not sequence:
-        raise ShapeError("bconv_lstm requires a non-empty sequence")
-    ref = sequence[0].shape
-    if any(t.shape != ref for t in sequence):
-        raise ShapeError("bconv_lstm sequence shapes must all agree")
+    def weights(q):
+        return q.w_x, q.w_h, q.w_c, q.w_c_o, q.b
 
-    st = None
-    for x in sequence:
-        st = conv_lstm_step(x, st, p.forward)
-    fwd_h = st.hidden
-    bwd_h = conv_lstm_step(sequence[-1], None, p.backward).hidden
-
-    return T.tanh(
-        _conv_same(fwd_h, p.mix_fwd)
-        + _conv_same(bwd_h, p.mix_bwd)
-        + _per_channel(p.mix_bias)
-    )
+    return T.bconv_lstm(list(sequence), weights(p.forward),
+                        weights(p.backward), p.mix_fwd, p.mix_bwd, p.mix_bias)
 
 
 # ---------------------------------------------------------------------------

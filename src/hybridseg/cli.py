@@ -221,7 +221,13 @@ def gradcheck_blocks():
         out = B.bconv_lstm([xb, xb * 0.5], p_bi)
         return T.tmean(out * out)
 
+    def f_single(*_):
+        out = B.bconv_lstm([xb], p_bi)
+        return T.tmean(out * out)
+
     _check("bconv_lstm", f_bi, leaves, results)
+    # a length-1 sequence, as the model's default single skip mode runs it
+    _check("bconv_lstm_single", f_single, leaves, results)
 
     p_swin = B.init_swin_pair(rng, 4, 2, 2, mlp_ratio=2)
     xs = Tensor(rng.uniform(-1, 1, (1, 4, 4, 4)), requires_grad=True)

@@ -12,6 +12,8 @@ flags so ablation rows all build from the same code path.
 
 from __future__ import annotations
 
+import os
+import shutil
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
@@ -399,9 +401,38 @@ def _shape_str(shape):
 
 def save_checkpoint(params, directory):
     """Write a checkpoint directory: config.txt, manifest.txt (one
-    'key shape offset' line per tensor), and the tensor blobs."""
+    'key shape offset' line per tensor), and the tensor blobs.
+
+    The files go into a sibling temporary directory, which then takes the
+    checkpoint's name with os.replace. An existing checkpoint is moved
+    aside first and put back if that swap fails, so a save that fails at
+    any point leaves the old checkpoint as it was and no temporary
+    directory behind.
+    """
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    directory.parent.mkdir(parents=True, exist_ok=True)
+    tmp = directory.with_name(f".{directory.name}.tmp-{os.getpid()}")
+    aside = tmp.with_name(tmp.name + "-old")
+    for stale in (tmp, aside):  # left by a killed process of the same id
+        shutil.rmtree(stale, ignore_errors=True)
+    try:
+        tmp.mkdir()
+        _write_checkpoint(params, tmp)
+        if directory.exists():
+            os.replace(directory, aside)
+            try:
+                os.replace(tmp, directory)
+            except BaseException:
+                os.replace(aside, directory)
+                raise
+            shutil.rmtree(aside)
+        else:
+            os.replace(tmp, directory)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+def _write_checkpoint(params, directory):
     flat = params.flat()
     manifest = []
     offset = 0

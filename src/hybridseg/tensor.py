@@ -12,7 +12,8 @@ backward recomputes the rest bit for bit with the forward's own ops: a
 convolution keeps its inputs, not its patch matrix; window_attention keeps
 the per-head q, k^T and v and the softmax's row max and row sum, not the
 attention probabilities, the context or the token rows; pointwise_mlp
-keeps its inputs, not its ReLU hidden layer.
+keeps its inputs, not its ReLU hidden layer; bconv_lstm keeps its gates
+and cells, not its hidden states or its mixing convolutions' outputs.
 
 The tape is strictly single-threaded: one tape is active at a time and
 recording onto a consumed tape is an error. Tensors that never touch a tape
@@ -694,23 +695,26 @@ def _patches(xd, kh, kw, p):
     return cols.reshape(b * ho * (wp - kw + 1), cin * kh * kw)
 
 
-def _dense_conv(xd, wd, p):
+def _dense_conv(xd, wd, p, cols=None):
     """Dense kh x kw cross-correlation of NCHW array xd with zero padding p:
     one GEMM on the (B*Ho*Wo, Cin*kh*kw) patch matrix, which is dropped
-    after it. Overflow is left to the caller's finiteness check."""
+    after it unless the caller gathered it and passes it as cols. Overflow
+    is left to the caller's finiteness check."""
     b, _, h, w = xd.shape
     cout, _, kh, kw = wd.shape
     ho, wo = h + 2 * p - kh + 1, w + 2 * p - kw + 1
+    if cols is None:
+        cols = _patches(xd, kh, kw, p)
     with np.errstate(over="ignore", invalid="ignore"):
-        y = (_patches(xd, kh, kw, p) @ wd.reshape(cout, -1).T).reshape(
-            b, ho, wo, cout)
+        y = (cols @ wd.reshape(cout, -1).T).reshape(b, ho, wo, cout)
     return np.ascontiguousarray(y.transpose(0, 3, 1, 2))
 
 
-def _dense_conv_grads(g, xd, wd, p, need_x, need_w):
+def _dense_conv_grads(g, xd, wd, p, need_x, need_w, cols=None):
     """(input, kernel) gradients of _dense_conv from the output gradient g,
     None where not needed: a GEMM on the patch matrix, gathered from xd
-    again, for the kernel; a GEMM and a kh*kw-slice col2im for the input.
+    again unless passed as cols, for the kernel; a GEMM and a kh*kw-slice
+    col2im for the input.
     The kernel's runs first, so that the input's column buffer reuses the
     freed patch matrix's memory instead of faulting in fresh pages."""
     b, cin, h, w = xd.shape
@@ -719,7 +723,10 @@ def _dense_conv_grads(g, xd, wd, p, need_x, need_w):
     g2 = g.transpose(0, 2, 3, 1).reshape(b * ho * wo, cout)
     gx = gw = None
     if need_w:
-        gw = (g2.T @ _patches(xd, kh, kw, p)).reshape(wd.shape)
+        if cols is None:
+            cols = _patches(xd, kh, kw, p)
+        gw = (g2.T @ cols).reshape(wd.shape)
+        del cols
     if need_x:
         gcols = (g2 @ wd.reshape(cout, -1)).reshape(b, ho, wo, cin, kh, kw)
         gxp = np.zeros((b, h + 2 * p, w + 2 * p, cin))  # channels last
@@ -1140,7 +1147,119 @@ def window_attention(x, qkv_w, q_bias, v_bias, proj_w, proj_b, n, heads, shift):
 
 
 # ---------------------------------------------------------------------------
-# convolutional LSTM step
+# convolutional LSTM
+
+
+def _lstm_weights(opname, cin, w_x, w_h, w_c, w_c_o, b):
+    """(hidden channels, kernel size) of one direction's ConvLSTM weights
+    for cin input channels; ShapeError unless they match conv_lstm_step's
+    contract."""
+    if w_c_o.ndim != 1:
+        raise ShapeError(f"{opname} expects a (hidden,) peephole")
+    hid = w_c_o.shape[0]
+    k = w_x.shape[-1] if w_x.ndim else 0
+    got = [w_x.shape, w_h.shape, w_c.shape, b.shape]
+    want = [(4 * hid, cin, k, k), (4 * hid, hid, k, k), (2 * hid, hid, k, k),
+            (4 * hid,)]
+    if k % 2 == 0 or got != want:
+        raise ShapeError(
+            f"{opname} weights {got} do not match {cin} input and "
+            f"{hid} hidden channels with one odd kernel size"
+        )
+    return hid, k
+
+
+def _live_rows(hid):
+    """The i, o and c gate rows of a stacked kernel: all a zero-state step
+    uses."""
+    return np.r_[:hid, 2 * hid : 4 * hid]
+
+
+def _zero_forget(part, hid):
+    """A zero-state step's gradient in the stacked gate layout: the forget
+    rows, which the step does not use, get zeros."""
+    if part is None:
+        return None
+    out = np.zeros((4 * hid,) + part.shape[1:])
+    out[_live_rows(hid)] = part
+    return out
+
+
+def _channel_sum(d):
+    """A per-channel bias's gradient from an NCHW gradient d."""
+    return _unbroadcast(d, (1, d.shape[1], 1, 1)).reshape(-1)
+
+
+def _lstm_gates(fx, fh, fc, c, bias, wco, opname):
+    """Gate activations (i, f, g, o) and new cell c_new of one ConvLSTM
+    step, as a tuple (i, f, g, o, c_new), from its stream convolutions.
+
+    A zero-state step passes fx in the gate layout i, o, c and fh, fc and c
+    as None, and gets f None; a stateful step passes fx and fh in the layout
+    i, f, o, c and fc in i, f. bias is the four gates' (1, hid, 1, 1)
+    biases, wco the (1, hid, 1, 1) output peephole. A pre-activation is
+    checked before it is squashed: sigmoid(inf) and tanh(inf) are finite.
+    """
+    hid = wco.shape[1]
+    bi, bf, bo, bc = bias
+
+    def squash(fn, pre):
+        _check_finite(pre, opname)
+        return fn(pre)
+
+    f = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        if fh is None:
+            i = squash(_sigmoid, fx[:, :hid] + bi)
+            g = squash(np.tanh, fx[:, 2 * hid :] + bc)
+            c_new = i * g
+            pre = fx[:, hid : 2 * hid] + wco * c_new
+        else:
+            pre = fx[:, :hid] + fh[:, :hid]
+            pre += fc[:, :hid]
+            pre += bi
+            i = squash(_sigmoid, pre)
+            pre = fx[:, hid : 2 * hid] + fh[:, hid : 2 * hid]
+            pre += fc[:, hid:]
+            pre += bf
+            f = squash(_sigmoid, pre)
+            pre = fx[:, 3 * hid :] + fh[:, 3 * hid :]
+            pre += bc
+            g = squash(np.tanh, pre)
+            c_new = f * c + i * g
+            pre = fx[:, 2 * hid : 3 * hid] + fh[:, 2 * hid : 3 * hid]
+            pre += wco * c_new
+        pre += bo
+        o = squash(_sigmoid, pre)
+    return i, f, g, o, c_new
+
+
+def _lstm_dgates(g_h, g_c, gates, tc, c, wco):
+    """(dgates, dc, dwco) of one ConvLSTM step from the gradients g_h of its
+    hidden output and g_c of its cell output (either may be None): the gate
+    pre-activation gradients in the layout of _lstm_gates's fx, the
+    gradient reaching c_new, and the output peephole's gradient. gates is
+    _lstm_gates's tuple, tc = tanh(c_new), c the previous cell (None for a
+    zero-state step). A gate's slice gets exactly one contribution, added
+    to zero as the composed step's narrow gradients are."""
+    i, f, g, o, c_new = gates
+    hid = i.shape[1]
+    rows = 3 * hid if f is None else 4 * hid
+    dgates = np.zeros((i.shape[0], rows) + i.shape[2:])
+    dc, dwco = g_c, None
+    if g_h is not None:
+        dt = g_h * o * (1.0 - tc * tc)
+        dc = dt if dc is None else dc + dt
+        dpre_o = g_h * tc * o * (1.0 - o)
+        dwco = _channel_sum(dpre_o * c_new)
+        dc = dc + dpre_o * wco
+        o_at = hid if f is None else 2 * hid
+        dgates[:, o_at : o_at + hid] += dpre_o
+    dgates[:, -hid:] += dc * i * (1.0 - g * g)
+    dgates[:, :hid] += dc * g * i * (1.0 - i)
+    if f is not None:
+        dgates[:, hid : 2 * hid] += dc * c * f * (1.0 - f)
+    return dgates, dc, dwco
 
 
 def conv_lstm_step(x, h, c, w_x, w_h, w_c, w_c_o, b):
@@ -1170,117 +1289,199 @@ def conv_lstm_step(x, h, c, w_x, w_h, w_c, w_c_o, b):
     each kernel gradient gathers its stream's patches again.
     """
     xd = x.data
-    if xd.ndim != 4 or w_c_o.ndim != 1:
-        raise ShapeError("conv_lstm_step expects rank-4 input, (hidden,) peephole")
+    if xd.ndim != 4:
+        raise ShapeError("conv_lstm_step expects a rank-4 input")
     bsz, cin, height, width = xd.shape
-    hid = w_c_o.shape[0]
-    k = w_x.shape[-1] if w_x.ndim else 0
-    got = [w_x.shape, w_h.shape, w_c.shape, b.shape]
-    want = [(4 * hid, cin, k, k), (4 * hid, hid, k, k), (2 * hid, hid, k, k),
-            (4 * hid,)]
-    if k % 2 == 0 or got != want:
-        raise ShapeError(
-            f"conv_lstm_step weights {got} do not match {cin} input and "
-            f"{hid} hidden channels with one odd kernel size"
-        )
+    hid, k = _lstm_weights("conv_lstm_step", cin, w_x, w_h, w_c, w_c_o, b)
     state = (bsz, hid, height, width)
     if (h is None) != (c is None) or (h is not None and h.shape != state
                                       or c is not None and c.shape != state):
         raise ShapeError(f"conv_lstm_step state does not match {state}")
 
     pad = (k - 1) // 2
-    bi, bf, bo, bc = np.split(b.data.reshape(1, 4 * hid, 1, 1), 4, axis=1)
+    bias = np.split(b.data.reshape(1, 4 * hid, 1, 1), 4, axis=1)
     wco = w_c_o.data.reshape(1, hid, 1, 1)
     if h is None:
-        live = np.r_[:hid, 2 * hid : 4 * hid]  # the i, o and c rows
-        wx = w_x.data[live]
+        wx = w_x.data[_live_rows(hid)]
         inputs = [x, w_x, w_c_o, b]
+        fh = fc = cd = None
     else:
         wx = w_x.data
         inputs = [x, h, c, w_x, w_h, w_c, w_c_o, b]
-
-    def squash(fn, pre):
-        # sigmoid(inf) and tanh(inf) are finite: check before squashing
-        _check_finite(pre, "conv_lstm_step")
-        return fn(pre)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        fx = _dense_conv(xd, wx, pad)
-        if h is None:
-            # gate layout of fx: i, o, c
-            i = squash(_sigmoid, fx[:, :hid] + bi)
-            g = squash(np.tanh, fx[:, 2 * hid :] + bc)
-            c_new = i * g
-            pre = fx[:, hid : 2 * hid] + wco * c_new
-        else:
-            # gate layout of fx and fh: i, f, o, c; of fc: i, f
-            fh = _dense_conv(h.data, w_h.data, pad)
-            fc = _dense_conv(c.data, w_c.data, pad)
-            pre = fx[:, :hid] + fh[:, :hid]
-            pre += fc[:, :hid]
-            pre += bi
-            i = squash(_sigmoid, pre)
-            pre = fx[:, hid : 2 * hid] + fh[:, hid : 2 * hid]
-            pre += fc[:, hid:]
-            pre += bf
-            f = squash(_sigmoid, pre)
-            pre = fx[:, 3 * hid :] + fh[:, 3 * hid :]
-            pre += bc
-            g = squash(np.tanh, pre)
-            c_new = f * c.data + i * g
-            pre = fx[:, 2 * hid : 3 * hid] + fh[:, 2 * hid : 3 * hid]
-            del fh, fc
-            pre += wco * c_new
-        del fx
-        pre += bo
-        o = squash(_sigmoid, pre)
-        del pre
-        tc = np.tanh(c_new)
-        outs = (Tensor(o * tc), Tensor(c_new))
-
-    def bias_grad(d):
-        return _unbroadcast(d, (1, d.shape[1], 1, 1)).reshape(-1)
-
-    def stacked(part):
-        # a zero-state gradient in the stacked gate layout: the forget rows,
-        # which the step does not use, get zeros
-        if part is None:
-            return None
-        out = np.zeros((4 * hid,) + part.shape[1:])
-        out[live] = part
-        return out
+        cd = c.data
+        fh = _dense_conv(h.data, w_h.data, pad)
+        fc = _dense_conv(cd, w_c.data, pad)
+    gates = _lstm_gates(_dense_conv(xd, wx, pad), fh, fc, cd, bias, wco,
+                        "conv_lstm_step")
+    del fh, fc
+    f, c_new = gates[1], gates[4]
+    tc = np.tanh(c_new)
+    outs = (Tensor(gates[3] * tc), Tensor(c_new))
 
     def bw(g_h, g_c):
-        # gate pre-activation gradients in the layout of fx; a slice gets
-        # exactly one contribution, added to zero as the composition's
-        # narrow gradients are
-        dgates = np.zeros((bsz, len(wx), height, width))
-        dc, dwco = g_c, None
-        if g_h is not None:
-            dt = g_h * o * (1.0 - tc * tc)
-            dc = dt if dc is None else dc + dt
-            dpre_o = g_h * tc * o * (1.0 - o)
-            dwco = bias_grad(dpre_o * c_new)
-            dc = dc + dpre_o * wco
-            o_at = hid if h is None else 2 * hid
-            dgates[:, o_at : o_at + hid] += dpre_o
-        dgates[:, -hid:] += dc * i * (1.0 - g * g)
-        dgates[:, :hid] += dc * g * i * (1.0 - i)
-        if h is not None:
-            dgates[:, hid : 2 * hid] += dc * c.data * f * (1.0 - f)
+        dgates, dc, dwco = _lstm_dgates(g_h, g_c, gates, tc, cd, wco)
         gx, gwx = _dense_conv_grads(dgates, xd, wx, pad, x.requires_grad,
                                     w_x.requires_grad)
         if h is None:
-            return gx, stacked(gwx), dwco, stacked(bias_grad(dgates))
+            return (gx, _zero_forget(gwx, hid), dwco,
+                    _zero_forget(_channel_sum(dgates), hid))
         gh, gwh = _dense_conv_grads(dgates, h.data, w_h.data, pad,
                                     h.requires_grad, w_h.requires_grad)
-        gcp, gwc = _dense_conv_grads(dgates[:, : 2 * hid], c.data, w_c.data,
+        gcp, gwc = _dense_conv_grads(dgates[:, : 2 * hid], cd, w_c.data,
                                      pad, c.requires_grad, w_c.requires_grad)
         if gcp is not None:
             gcp = dc * f + gcp
-        return gx, gh, gcp, gwx, gwh, gwc, dwco, bias_grad(dgates)
+        return gx, gh, gcp, gwx, gwh, gwc, dwco, _channel_sum(dgates)
 
     return _register(outs, inputs, bw)
+
+
+def bconv_lstm(xs, fwd, bwd, mix_fwd, mix_bwd, mix_bias):
+    """Bidirectional ConvLSTM over the sequence xs as one tape entry.
+
+    xs: a non-empty list of (B, Cin, H, W) maps. fwd and bwd: each
+    direction's (w_x, w_h, w_c, w_c_o, b), as conv_lstm_step takes them.
+    mix_fwd, mix_bwd: (hid, hid, m, m) kernels, m odd, run with 'same'
+    zero padding; mix_bias: (hid,).
+
+        y = tanh(h_fwd * mix_fwd + h_bwd * mix_bwd + mix_bias)
+
+    h_fwd is the last hidden state of conv_lstm_step run from the zero
+    state over xs in order. The reverse direction runs from the last map
+    to the first, so its state aligned with the last position is its
+    first, zero-state step on xs[-1], and h_bwd is that step's output: the
+    later reverse steps never reach y and are not run, so bwd's w_h and w_c
+    get no gradient.
+
+    The forward repeats the NumPy sequence of the same block composed from
+    conv_lstm_step, conv2d, add, reshape and tanh, so y is bitwise equal to
+    it. xs[-1]'s patch matrix is gathered once for the two directions'
+    x-stream GEMMs, in the forward and again in the backward. The entry
+    lists an input once per use, in the order the composition's rules
+    return its gradients, so accumulated gradients are bitwise equal too.
+    It keeps its inputs, each forward step's i, g, o and c_new (and f after
+    the first step), the reverse step's i, g, o and c_new, and y; the
+    backward rebuilds tanh(c_new) and h = o tanh(c_new) by the forward's
+    ops, one step at a time, and no mixing output or sum is kept.
+    """
+    if not xs:
+        raise ShapeError("bconv_lstm requires a non-empty sequence")
+    ref = xs[0].shape
+    if len(ref) != 4 or any(t.shape != ref for t in xs):
+        raise ShapeError("bconv_lstm sequence maps must be rank-4 and agree")
+    cin = ref[1]
+    hid, k = _lstm_weights("bconv_lstm", cin, *fwd)
+    if _lstm_weights("bconv_lstm", cin, *bwd) != (hid, k):
+        raise ShapeError("bconv_lstm directions differ in width or kernel")
+    m = mix_fwd.shape[-1] if mix_fwd.ndim else 0
+    if (m % 2 == 0 or mix_fwd.shape != (hid, hid, m, m)
+            or mix_bwd.shape != mix_fwd.shape or mix_bias.shape != (hid,)):
+        raise ShapeError(
+            f"bconv_lstm mixing kernels {mix_fwd.shape}, {mix_bwd.shape} and "
+            f"bias {mix_bias.shape} do not match {hid} hidden channels"
+        )
+
+    pad, mpad, live = (k - 1) // 2, (m - 1) // 2, _live_rows(hid)
+    fw_x, fw_h, fw_c = fwd[0].data, fwd[1].data, fwd[2].data
+    fwx0, rwx = fw_x[live], bwd[0].data[live]
+
+    def step_constants(w_c_o, b):
+        return (np.split(b.data.reshape(1, 4 * hid, 1, 1), 4, axis=1),
+                w_c_o.data.reshape(1, hid, 1, 1))
+
+    fbias, fco = step_constants(*fwd[3:])
+    rbias, rco = step_constants(*bwd[3:])
+    xds = [t.data for t in xs]
+    last = len(xs) - 1
+    inputs = [mix_bias, mix_bwd, mix_fwd, xs[last], bwd[0], bwd[3], bwd[4]]
+    for t in range(last, 0, -1):
+        inputs += [xs[t], *fwd]
+    inputs += [xs[0], fwd[0], fwd[3], fwd[4]]
+    keep = _recording(inputs)
+
+    steps = []  # each forward step's gates and cell, while recording
+    h = c = None
+    for t, xd in enumerate(xds):
+        cols = _patches(xd, k, k, pad) if t == last else None
+        fx = _dense_conv(xd, fw_x if t else fwx0, pad, cols)
+        if t == last:
+            rfx = _dense_conv(xd, rwx, pad, cols)
+            del cols
+        fh = fc = None
+        if t:
+            fh, fc = _dense_conv(h, fw_h, pad), _dense_conv(c, fw_c, pad)
+        gates = _lstm_gates(fx, fh, fc, c, fbias, fco, "bconv_lstm")
+        del fx, fh, fc
+        if keep:
+            steps.append(gates)
+        c = gates[4]
+        h = gates[3] * np.tanh(c)
+    rgates = _lstm_gates(rfx, None, None, None, rbias, rco, "bconv_lstm")
+    del rfx
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = _conv(h, mix_fwd.data, mpad, False)
+        del h, c
+        s += _conv(rgates[3] * np.tanh(rgates[4]), mix_bwd.data, mpad, False)
+        s += mix_bias.data.reshape(1, hid, 1, 1)
+    _check_finite(s, "bconv_lstm")
+    y = np.tanh(s)
+    del s
+    out = Tensor(y)
+    if not keep:
+        return out
+    need = [t.requires_grad for t in (mix_fwd, mix_bwd, bwd[0], *fwd[:3])]
+    need_mf, need_mb, need_rwx, need_wx, need_wh, need_wc = need
+
+    def bw(gy):
+        dz = gy * (1.0 - y * y)
+        grads = [_unbroadcast(dz, (1, hid, 1, 1)).reshape(mix_bias.shape)]
+        rtc = np.tanh(rgates[4])
+        g_h, g_mb = _conv_grads(dz, rgates[3] * rtc, mix_bwd.data, mpad,
+                                False, True, need_mb)
+        rd, _, r_dwco = _lstm_dgates(g_h, None, rgates, rtc, None, rco)
+        del rtc
+        o, c_new = steps[last][3], steps[last][4]
+        g_h, g_mf = _conv_grads(dz, o * np.tanh(c_new), mix_fwd.data, mpad,
+                                False, True, need_mf)
+        del dz
+        grads += [g_mb, g_mf]
+        g_c = None
+        for t in range(last, -1, -1):
+            gates, xd, need_x = steps[t], xds[t], xs[t].requires_grad
+            wx = fw_x if t else fwx0
+            c_prev = steps[t - 1][4] if t else None
+            d, dc, dwco = _lstm_dgates(g_h, g_c, gates, np.tanh(gates[4]),
+                                       c_prev, fco)
+            if t == last:
+                # both directions' kernel gradients from one gather, freed
+                # before the input gradients' column buffers are made
+                cols = _patches(xd, k, k, pad)
+                g_rwx = _dense_conv_grads(rd, xd, rwx, pad, False, need_rwx,
+                                          cols)[1]
+                gwx = _dense_conv_grads(d, xd, wx, pad, False, need_wx, cols)[1]
+                del cols
+                grads += [_dense_conv_grads(rd, xd, rwx, pad, need_x, False)[0],
+                          _zero_forget(g_rwx, hid), r_dwco,
+                          _zero_forget(_channel_sum(rd), hid)]
+                del rd
+                gx = _dense_conv_grads(d, xd, wx, pad, need_x, False)[0]
+            else:
+                gx, gwx = _dense_conv_grads(d, xd, wx, pad, need_x, need_wx)
+            if not t:
+                grads += [gx, _zero_forget(gwx, hid), dwco,
+                          _zero_forget(_channel_sum(d), hid)]
+                break
+            h_prev = steps[t - 1][3] * np.tanh(c_prev)
+            g_h, gwh = _dense_conv_grads(d, h_prev, fw_h, pad, True, need_wh)
+            del h_prev
+            gcp, gwc = _dense_conv_grads(d[:, : 2 * hid], c_prev, fw_c, pad,
+                                         True, need_wc)
+            g_c = dc * gates[1] + gcp
+            grads += [gx, gwx, gwh, gwc, dwco, _channel_sum(d)]
+            del d, dc, gcp
+        return grads
+
+    return _register(out, inputs, bw)
 
 
 # ---------------------------------------------------------------------------

@@ -1112,9 +1112,30 @@ def bconv_lstm_composition(sequence, p):
     for x in reversed(sequence):
         st = B.conv_lstm_step(x, st, p.backward)
         reverse.append(st.hidden)
+    pad = (p.mix_fwd.shape[-1] - 1) // 2
     return T.tanh(
-        T.conv2d(fwd, p.mix_fwd, padding=1)
-        + T.conv2d(reverse[0], p.mix_bwd, padding=1)
+        T.conv2d(fwd, p.mix_fwd, padding=pad)
+        + T.conv2d(reverse[0], p.mix_bwd, padding=pad)
+        + T.reshape(p.mix_bias, (1, hidden, 1, 1))
+    )
+
+
+def bconv_lstm_steps(sequence, p):
+    """The block composed of the taped ops tensor.bconv_lstm replaces:
+    conv_lstm_step from the None state over the sequence, one None-state
+    reverse step on its last map, two conv2d mixes, the bias and tanh. Its
+    first steps skip the forget rows that bconv_lstm_composition's
+    zero-state steps multiply, so a GEMM of another shape may round a
+    gradient differently: the two agree to rounding, and bitwise only at
+    some shapes."""
+    st = None
+    for x in sequence:
+        st = B.conv_lstm_step(x, st, p.forward)
+    bwd = B.conv_lstm_step(sequence[-1], None, p.backward)
+    hidden, pad = p.mix_fwd.shape[0], (p.mix_fwd.shape[-1] - 1) // 2
+    return T.tanh(
+        T.conv2d(st.hidden, p.mix_fwd, padding=pad)
+        + T.conv2d(bwd.hidden, p.mix_bwd, padding=pad)
         + T.reshape(p.mix_bias, (1, hidden, 1, 1))
     )
 
@@ -1139,8 +1160,8 @@ class TestBConvLSTM:
         zero = Tensor(np.zeros_like(p.mix_fwd.data))
         pf = B.BConvLSTMParams(p.forward, p.backward, p.mix_fwd, zero, p.mix_bias)
         pb = B.BConvLSTMParams(p.forward, p.backward, zero, p.mix_fwd, p.mix_bias)
-        assert np.allclose(B.bconv_lstm(x, pf).data, B.bconv_lstm(x, pb).data,
-                           atol=1e-14)
+        assert (B.bconv_lstm(x, pf).data.tobytes()
+                == B.bconv_lstm(x, pb).data.tobytes())
 
     def test_length_two_against_step_composition(self):
         rng = np.random.default_rng(15)
@@ -1158,7 +1179,7 @@ class TestBConvLSTM:
             + T.conv2d(bwd, p.mix_bwd, padding=1)
             + T.reshape(p.mix_bias, (1, 2, 1, 1))
         )
-        assert np.allclose(out.data, mixed.data, atol=1e-12)
+        assert out.data.tobytes() == mixed.data.tobytes()
 
     @pytest.mark.parametrize("length", [1, 2, 3])
     def test_gradients_match_step_composition(self, length):
@@ -1199,6 +1220,125 @@ class TestBConvLSTM:
             return T.tsum(out * out)
 
         assert grad_check(f, leaves, eps=1e-5).max_rel_error <= 1e-4
+
+
+def _bconv_run(fn, data, p, repeat, x_grad, weights):
+    """fn's output and the gradients of sum(weights * output) for every
+    parameter and sequence map, a missing gradient as zeros; with repeat,
+    the sequence is one Tensor len(data) times."""
+    seq = [Tensor(d, requires_grad=x_grad) for d in data]
+    if repeat:
+        seq = [seq[0]] * len(seq)
+    leaves = {**B.params_of(p), **{f"x{i}": t for i, t in enumerate(seq)}}
+    for t in leaves.values():
+        t.grad = None
+    with T.record():
+        out = fn(seq, p)
+        T.backward(T.tsum(out * Tensor(weights)))
+    return out, {k: np.zeros_like(t.data) if t.grad is None else t.grad
+                 for k, t in leaves.items()}
+
+
+class TestBConvLSTMPrimitive:
+    @settings(deadline=None, max_examples=60)
+    @given(length=st.integers(1, 3), batch=st.integers(1, 3),
+           cin=st.integers(1, 3), hidden=st.integers(1, 3),
+           height=st.integers(1, 5), width=st.integers(1, 5),
+           k=st.sampled_from([1, 3]), repeat=st.booleans(),
+           x_grad=st.booleans(), frozen=st.sets(st.sampled_from(
+               ["forward.w_x", "forward.w_h", "forward.b", "backward.w_x",
+                "backward.w_c_o", "mix_fwd", "mix_bias"])),
+           seed=st.integers(0, 2**16))
+    def test_matches_composition(self, length, batch, cin, hidden, height,
+                                 width, k, repeat, x_grad, frozen, seed):
+        rng = np.random.default_rng(seed)
+        p = B.init_bconv_lstm(rng, cin, hidden, k)
+        for q in (p.forward, p.backward):
+            q.b.data = rng.uniform(-1, 1, 4 * hidden)
+        p.mix_bias.data = rng.uniform(-1, 1, hidden)
+        params = B.params_of(p)
+        for name in frozen:
+            params[name].requires_grad = False
+        assume(x_grad or any(t.requires_grad for t in params.values()))
+        data = [rng.uniform(-1, 1, (batch, cin, height, width))
+                for _ in range(length)]
+        weights = rng.uniform(-1, 1, (batch, hidden, height, width))
+        out, grads = _bconv_run(B.bconv_lstm, data, p, repeat, x_grad, weights)
+        ref, ref_grads = _bconv_run(bconv_lstm_steps, data, p, repeat, x_grad,
+                                    weights)
+        assert np.array_equal(out.data, ref.data)
+        assert grads.keys() == ref_grads.keys()
+        for key, r in ref_grads.items():
+            assert np.array_equal(grads[key], r), key
+        # the gate equations run from explicit zero states
+        ref, ref_grads = _bconv_run(bconv_lstm_composition, data, p, repeat,
+                                    x_grad, weights)
+        assert np.abs(out.data - ref.data).max() <= 1e-12
+        for key, r in ref_grads.items():
+            assert np.abs(grads[key] - r).max() <= 1e-12 * max(np.abs(r).max(),
+                                                                1.0), key
+
+    @pytest.mark.parametrize("length", [1, 2, 3])
+    def test_one_tape_entry(self, length):
+        rng = np.random.default_rng(34)
+        p = B.init_bconv_lstm(rng, 3, 2)
+        seq = [Tensor(rng.uniform(-1, 1, (2, 3, 4, 5)), requires_grad=True)
+               for _ in range(length)]
+        with T.record() as tape:
+            B.bconv_lstm(seq, p)
+        assert len(tape) == 1
+
+    @pytest.mark.parametrize("length, gates", [(1, 8), (2, 13), (3, 18)])
+    def test_entry_keeps_gates_not_states(self, length, gates):
+        # the zero-state steps keep i, g, o and c, a stateful step f as well;
+        # hidden states, tanh(c), the mixing outputs and their sums are
+        # rebuilt or never kept. Input and hidden widths differ, so a
+        # (B, hid, H, W) array is not a sequence map
+        rng = np.random.default_rng(35)
+        p = B.init_bconv_lstm(rng, 3, 2)
+        seq = [Tensor(rng.uniform(-1, 1, (2, 3, 4, 5)), requires_grad=True)
+               for _ in range(length)]
+        with T.record() as tape:
+            out = B.bconv_lstm(seq, p)
+        (outs, _, bw), = tape.ops
+        held = O.closure_arrays(bw)
+        assert any(a is out.data for a in held)
+        maps = [a for a in held if a.shape == out.shape and a is not out.data]
+        assert len(maps) == gates
+
+    @pytest.mark.parametrize("where", ["single", "paired_last", "paired_first"])
+    def test_overflow_names_the_block(self, where):
+        # sigmoid(inf) = tanh(inf) = 1: the block checks its pre-activations
+        rng = np.random.default_rng(36)
+        p = B.init_bconv_lstm(rng, 2, 2)
+        for q in (p.forward, p.backward):
+            q.w_x.data = q.w_x.data * 1e3
+        big = Tensor(np.full((1, 2, 4, 4), 1e306))
+        small = Tensor(rng.uniform(-1, 1, (1, 2, 4, 4)))
+        seq = {"single": [big], "paired_last": [small, big],
+               "paired_first": [big, small]}[where]
+        with pytest.raises(NonFiniteError, match="bconv_lstm"):
+            B.bconv_lstm(seq, p)
+
+    def test_rejects_bad_shapes(self):
+        rng = np.random.default_rng(37)
+        x = Tensor(np.zeros((1, 2, 4, 4)))
+        with pytest.raises(ShapeError):  # maps that disagree
+            B.bconv_lstm([x, Tensor(np.zeros((1, 2, 4, 5)))],
+                         B.init_bconv_lstm(rng, 2, 2))
+        with pytest.raises(ShapeError):  # input channels
+            B.bconv_lstm([x], B.init_bconv_lstm(rng, 3, 2))
+        for name, value in (("mix_fwd", np.zeros((2, 3, 3, 3))),
+                            ("mix_bwd", np.zeros((2, 2, 1, 1))),
+                            ("mix_bias", np.zeros(3))):
+            p = B.init_bconv_lstm(rng, 2, 2)
+            setattr(p, name, Tensor(value))
+            with pytest.raises(ShapeError):
+                B.bconv_lstm([x], p)
+        p = B.init_bconv_lstm(rng, 2, 2)
+        p.backward = B.init_conv_lstm(rng, 2, 3)  # a wider reverse direction
+        with pytest.raises(ShapeError):
+            B.bconv_lstm([x], p)
 
 
 def uniform_attention_params(c, n, heads=1):

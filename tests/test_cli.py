@@ -558,7 +558,8 @@ class TestGradcheckVerb:
         assert run("gradcheck", "--scope", "blocks") == 0
         out = capsys.readouterr().out
         for row in ("conv_lstm_step ", "conv_lstm_step_lazy ", "bconv_lstm ",
-                    "separable_conv_bn_relu ", "pointwise_mlp "):
+                    "bconv_lstm_single ", "separable_conv_bn_relu ",
+                    "pointwise_mlp "):
             assert row in out, row
         assert "worst max_rel_err" in out
 

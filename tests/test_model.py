@@ -295,10 +295,11 @@ class TestCounters:
         executed = []
         dense_conv = T._dense_conv
 
-        # every k x k convolution, the ones inside T.conv_lstm_step included,
-        # runs through the shared dense-conv helper
-        def counting(xd, wd, padding):
-            out = dense_conv(xd, wd, padding)
+        # every k x k convolution, the ones inside T.bconv_lstm included,
+        # runs through the shared dense-conv helper; cols is a patch matrix
+        # gathered once for two GEMMs, each counted
+        def counting(xd, wd, padding, cols=None):
+            out = dense_conv(xd, wd, padding, cols)
             cout, cper, kh, kw = wd.shape
             executed.append(2 * cout * cper * kh * kw * out.shape[2] * out.shape[3])
             return out
@@ -342,7 +343,7 @@ class TestCounters:
         window_attention, dense_conv = T.window_attention, T._dense_conv
         separable_conv_bn, pointwise_mlp = T.separable_conv_bn, T.pointwise_mlp
 
-        # dense k x k convolutions, those inside T.conv_lstm_step and
+        # dense k x k convolutions, those inside T.bconv_lstm and
         # T.separable_conv_bn among them, are counted in the shared helper;
         # conv2d and the fused ops count their other paths
         def counting_conv2d(x, wt, padding=0, groups=1):
@@ -351,8 +352,8 @@ class TestCounters:
                 executed.append(2 * out.size * int(np.prod(wt.shape[1:])))
             return out
 
-        def counting_dense_conv(xd, wd, padding):
-            out = dense_conv(xd, wd, padding)
+        def counting_dense_conv(xd, wd, padding, cols=None):
+            out = dense_conv(xd, wd, padding, cols)
             executed.append(2 * out.size * int(np.prod(wd.shape[1:])))
             return out
 
@@ -408,11 +409,11 @@ class TestCounters:
             shapes.append(("conv2d", xin.shape, bool(xin.data.any())))
             return conv2d(xin, wt, padding=padding, groups=groups)
 
-        # the ConvLSTM gate convolutions run inside T.conv_lstm_step, which
-        # calls the dense-conv helper directly
-        def watching_dense(xd, wd, padding):
+        # the ConvLSTM gate and mixing convolutions run inside T.bconv_lstm,
+        # which calls the dense-conv helper directly
+        def watching_dense(xd, wd, padding, cols=None):
             shapes.append(("dense", xd.shape, bool(xd.any())))
-            return dense_conv(xd, wd, padding)
+            return dense_conv(xd, wd, padding, cols)
 
         def watching_separable(xin, *rest):
             shapes.append(("separable", xin.shape, bool(xin.data.any())))
@@ -428,13 +429,14 @@ class TestCounters:
         monkeypatch.setattr(T, "pointwise_mlp", watching_mlp)
         with T.record():
             T.backward(T.tsum(M.forward(params, x, training=True)))
-        assert {op for op, _, _ in shapes} == {"conv2d", "dense", "separable",
-                                               "mlp"}
+        # the model calls no conv2d: its only k x k convolutions outside
+        # separable_conv_bn, the ConvLSTM's, run in T.bconv_lstm
+        assert {op for op, _, _ in shapes} == {"dense", "separable", "mlp"}
         assert [(op, s) for op, s, nonzero in shapes if not nonzero] == []
 
     def test_tape_holds_no_patch_matrix(self):
         # paired skips run stateful ConvLSTM steps, whose x, h and c streams
-        # and the direction-mixing conv2d are all dense 3x3 convolutions
+        # and the direction-mixing convolutions are all dense 3x3 ones
         cfg = tiny_config(skip_sequence_mode="paired")
         params = M.build(cfg, 0)
         rng = np.random.default_rng(42)
@@ -444,8 +446,10 @@ class TestCounters:
             out = M.forward(params, x, training=True)
             L.composite_loss(out, g, L.LossSchedule(), 0,
                              components=("dice", "jaccard"))
-        assert any(bw.__qualname__.startswith("conv_lstm_step.")
-                   and len(inputs) == 8 for _, inputs, bw in tape.ops)
+        # a two-map block lists 17 inputs: the mixing parameters, then each
+        # direction's per use, stateful step included (see T.bconv_lstm)
+        assert any(bw.__qualname__.startswith("bconv_lstm.")
+                   and len(inputs) == 17 for _, inputs, bw in tape.ops)
         held = []
         for _, inputs, bw in tape.ops:
             patch_shapes = {
@@ -472,16 +476,27 @@ def training_loss(params, cfg, seed):
                             level_sets=level_sets)[0]
 
 
-# the arrays a rule keeps besides its inputs, by the op that made the entry
+# the arrays a rule keeps besides its inputs, by the op that made the entry:
+# bconv_lstm keeps each forward step's and the reverse step's gates and cell,
+# in a list and a tuple, and its output
 HELD_BY_RULE = {"window_attention": ("q", "kt", "v", "row_max", "row_sum"),
-                "conv_lstm_step": ("i", "f", "o", "g", "tc")}
+                "bconv_lstm": ("steps", "rgates", "y")}
+
+
+def _arrays(v):
+    """The arrays in v, through tuples and lists."""
+    if isinstance(v, np.ndarray):
+        return [v]
+    if isinstance(v, (tuple, list)):
+        return [a for u in v for a in _arrays(u)]
+    return []
 
 
 def watch_entries(tape, root):
     """Weak references to what every entry but the first keeps alive: its
     output arrays (the root's aside), its rule, and the attention's per-head
     q, k^T, v and softmax row statistics and the ConvLSTM gate activations
-    in that rule's closure."""
+    and cells in that rule's closure."""
     refs = []
     for outs, _, bw in tape.ops[1:]:
         op = bw.__qualname__.split(".")[0]
@@ -491,10 +506,8 @@ def watch_entries(tape, root):
             if name not in bw.__code__.co_freevars:
                 continue
             cell = bw.__closure__[bw.__code__.co_freevars.index(name)]
-            try:
-                refs.append((f"{op}.{name}", weakref.ref(cell.cell_contents)))
-            except ValueError:  # the zero-state step has no forget gate
-                pass
+            refs += [(f"{op}.{name}", weakref.ref(a))
+                     for a in _arrays(cell.cell_contents)]
     return refs
 
 
@@ -510,8 +523,8 @@ class TestBackwardReleasesTape:
             assert {op for op, _ in refs} >= {
                 "window_attention", "window_attention.q", "window_attention.kt",
                 "window_attention.v", "window_attention.row_max",
-                "window_attention.row_sum", "conv_lstm_step.i",
-                "conv_lstm_step.o", "conv_lstm_step.g", "conv_lstm_step.tc"}
+                "window_attention.row_sum", "bconv_lstm", "bconv_lstm.steps",
+                "bconv_lstm.rgates", "bconv_lstm.y"}
             outs, inputs, first = tape.ops[0]
 
             def watched(*gs):
@@ -573,6 +586,41 @@ class TestCheckpoint:
         assert (tmp_path / "a/manifest.txt").read_text() == (
             tmp_path / "b/manifest.txt"
         ).read_text()
+
+    @pytest.mark.parametrize("existing", [True, False])
+    def test_failed_save_leaves_old_checkpoint(self, tmp_path, monkeypatch,
+                                               existing):
+        ckpt = tmp_path / "ckpt"
+        old = M.build(tiny_config(), seed=11)
+        if existing:
+            M.save_checkpoint(old, ckpt)
+        files = {p.name: p.read_bytes() for p in ckpt.iterdir()} if existing else {}
+        written = []
+        tensor_to_bytes = T.tensor_to_bytes
+
+        def failing(t):  # raises part-way through tensors.bin
+            if len(written) == 5:
+                raise OSError("disk full")
+            written.append(t)
+            return tensor_to_bytes(t)
+
+        monkeypatch.setattr(T, "tensor_to_bytes", failing)
+        with pytest.raises(OSError, match="disk full"):
+            M.save_checkpoint(M.build(tiny_config(), seed=12), ckpt)
+        assert len(written) == 5
+        assert [p.name for p in tmp_path.iterdir()] == (["ckpt"] if existing
+                                                         else [])
+        if existing:
+            assert {p.name: p.read_bytes() for p in ckpt.iterdir()} == files
+            assert tensor_bytes(M.load_checkpoint(ckpt)) == tensor_bytes(old)
+
+    def test_save_replaces_old_checkpoint(self, tmp_path):
+        ckpt = tmp_path / "ckpt"
+        M.save_checkpoint(M.build(tiny_config(), seed=11), ckpt)
+        new = M.build(tiny_config(num_classes=2), seed=12)
+        M.save_checkpoint(new, ckpt)
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+        assert tensor_bytes(M.load_checkpoint(ckpt)) == tensor_bytes(new)
 
     def test_missing_directory(self, tmp_path):
         with pytest.raises(FormatError):
