@@ -399,21 +399,41 @@ def _shape_str(shape):
     return "x".join(str(s) for s in shape)
 
 
+def _siblings(directory):
+    """(temporary, aside) names of a save into directory: the new files
+    are written into the first, an existing checkpoint waits in the
+    second while the new one takes its name."""
+    return (directory.with_name(f".{directory.name}.tmp"),
+            directory.with_name(f".{directory.name}.old"))
+
+
+def _restore_interrupted(directory):
+    """Put back a checkpoint that a save killed between its two renames
+    left aside, so that the directory names it again."""
+    aside = _siblings(directory)[1]
+    if not directory.exists() and aside.is_dir():
+        os.replace(aside, directory)
+
+
 def save_checkpoint(params, directory):
     """Write a checkpoint directory: config.txt, manifest.txt (one
     'key shape offset' line per tensor), and the tensor blobs.
 
-    The files go into a sibling temporary directory, which then takes the
-    checkpoint's name with os.replace. An existing checkpoint is moved
-    aside first and put back if that swap fails, so a save that fails at
-    any point leaves the old checkpoint as it was and no temporary
-    directory behind.
+    The files go into the sibling temporary directory .<name>.tmp, which
+    then takes the checkpoint's name with os.replace. An existing
+    checkpoint is first moved aside to .<name>.old, put back if that swap
+    fails, and removed once it succeeds. A save that fails at any point
+    leaves the old checkpoint as it was and no sibling behind. A process
+    killed between the two renames leaves the old checkpoint at
+    .<name>.old: the next save or load of the directory puts it back, and
+    the next save removes what else a killed save left. One process at a
+    time saves to a directory.
     """
     directory = Path(directory)
     directory.parent.mkdir(parents=True, exist_ok=True)
-    tmp = directory.with_name(f".{directory.name}.tmp-{os.getpid()}")
-    aside = tmp.with_name(tmp.name + "-old")
-    for stale in (tmp, aside):  # left by a killed process of the same id
+    _restore_interrupted(directory)
+    tmp, aside = _siblings(directory)
+    for stale in (tmp, aside):  # left by a killed save
         shutil.rmtree(stale, ignore_errors=True)
     try:
         tmp.mkdir()
@@ -459,6 +479,7 @@ def load_checkpoint_tensors(directory):
     key once, and its records, sorted by offset, tile tensors.bin exactly.
     Per-gate ConvLSTM keys of older checkpoints come back stacked."""
     directory = Path(directory)
+    _restore_interrupted(directory)
     manifest_path = directory / "manifest.txt"
     blob_path = directory / "tensors.bin"
     if not manifest_path.exists() or not blob_path.exists():
@@ -524,6 +545,7 @@ def load_checkpoint(directory):
     parameters are allocated by shape (allocate) and filled from the stored
     tensors, so a load draws no random numbers."""
     directory = Path(directory)
+    _restore_interrupted(directory)
     config_path = directory / "config.txt"
     cfg = config_from_text(_read_text(config_path), source=str(config_path))
     params = allocate(cfg)

@@ -695,26 +695,23 @@ def _patches(xd, kh, kw, p):
     return cols.reshape(b * ho * (wp - kw + 1), cin * kh * kw)
 
 
-def _dense_conv(xd, wd, p, cols=None):
+def _dense_conv(xd, wd, p):
     """Dense kh x kw cross-correlation of NCHW array xd with zero padding p:
     one GEMM on the (B*Ho*Wo, Cin*kh*kw) patch matrix, which is dropped
-    after it unless the caller gathered it and passes it as cols. Overflow
-    is left to the caller's finiteness check."""
+    after it. Overflow is left to the caller's finiteness check."""
     b, _, h, w = xd.shape
     cout, _, kh, kw = wd.shape
     ho, wo = h + 2 * p - kh + 1, w + 2 * p - kw + 1
-    if cols is None:
-        cols = _patches(xd, kh, kw, p)
     with np.errstate(over="ignore", invalid="ignore"):
-        y = (cols @ wd.reshape(cout, -1).T).reshape(b, ho, wo, cout)
+        y = (_patches(xd, kh, kw, p) @ wd.reshape(cout, -1).T).reshape(
+            b, ho, wo, cout)
     return np.ascontiguousarray(y.transpose(0, 3, 1, 2))
 
 
-def _dense_conv_grads(g, xd, wd, p, need_x, need_w, cols=None):
+def _dense_conv_grads(g, xd, wd, p, need_x, need_w):
     """(input, kernel) gradients of _dense_conv from the output gradient g,
     None where not needed: a GEMM on the patch matrix, gathered from xd
-    again unless passed as cols, for the kernel; a GEMM and a kh*kw-slice
-    col2im for the input.
+    again, for the kernel; a GEMM and a kh*kw-slice col2im for the input.
     The kernel's runs first, so that the input's column buffer reuses the
     freed patch matrix's memory instead of faulting in fresh pages."""
     b, cin, h, w = xd.shape
@@ -723,10 +720,7 @@ def _dense_conv_grads(g, xd, wd, p, need_x, need_w, cols=None):
     g2 = g.transpose(0, 2, 3, 1).reshape(b * ho * wo, cout)
     gx = gw = None
     if need_w:
-        if cols is None:
-            cols = _patches(xd, kh, kw, p)
-        gw = (g2.T @ cols).reshape(wd.shape)
-        del cols
+        gw = (g2.T @ _patches(xd, kh, kw, p)).reshape(wd.shape)
     if need_x:
         gcols = (g2 @ wd.reshape(cout, -1)).reshape(b, ho, wo, cin, kh, kw)
         gxp = np.zeros((b, h + 2 * p, w + 2 * p, cin))  # channels last
@@ -1190,15 +1184,18 @@ def _channel_sum(d):
     return _unbroadcast(d, (1, d.shape[1], 1, 1)).reshape(-1)
 
 
-def _lstm_gates(fx, fh, fc, c, bias, wco, opname):
+def _lstm_gates(xd, wx, h, c, w_h, w_c, pad, bias, wco, opname):
     """Gate activations (i, f, g, o) and new cell c_new of one ConvLSTM
-    step, as a tuple (i, f, g, o, c_new), from its stream convolutions.
+    step, as a tuple (i, f, g, o, c_new).
 
-    A zero-state step passes fx in the gate layout i, o, c and fh, fc and c
-    as None, and gets f None; a stateful step passes fx and fh in the layout
-    i, f, o, c and fc in i, f. bias is the four gates' (1, hid, 1, 1)
-    biases, wco the (1, hid, 1, 1) output peephole. A pre-activation is
-    checked before it is squashed: sigmoid(inf) and tanh(inf) are finite.
+    xd is the step's input, wx its kernels: in the gate layout i, o, c for
+    a zero-state step, which passes h, c, w_h and w_c as None and gets f
+    None; in the layout i, f, o, c for a stateful step, whose w_h is in
+    that layout too and w_c in i, f. bias is the four gates' (1, hid, 1, 1)
+    biases, wco the (1, hid, 1, 1) output peephole. Each stream's
+    convolution output is dropped as soon as the gates have read it. A
+    pre-activation is checked before it is squashed: sigmoid(inf) and
+    tanh(inf) are finite.
     """
     hid = wco.shape[1]
     bi, bf, bo, bc = bias
@@ -1208,13 +1205,15 @@ def _lstm_gates(fx, fh, fc, c, bias, wco, opname):
         return fn(pre)
 
     f = None
+    fx = _dense_conv(xd, wx, pad)
     with np.errstate(over="ignore", invalid="ignore"):
-        if fh is None:
+        if h is None:
             i = squash(_sigmoid, fx[:, :hid] + bi)
             g = squash(np.tanh, fx[:, 2 * hid :] + bc)
             c_new = i * g
             pre = fx[:, hid : 2 * hid] + wco * c_new
         else:
+            fh, fc = _dense_conv(h, w_h, pad), _dense_conv(c, w_c, pad)
             pre = fx[:, :hid] + fh[:, :hid]
             pre += fc[:, :hid]
             pre += bi
@@ -1228,7 +1227,9 @@ def _lstm_gates(fx, fh, fc, c, bias, wco, opname):
             g = squash(np.tanh, pre)
             c_new = f * c + i * g
             pre = fx[:, 2 * hid : 3 * hid] + fh[:, 2 * hid : 3 * hid]
+            del fh, fc
             pre += wco * c_new
+        del fx
         pre += bo
         o = squash(_sigmoid, pre)
     return i, f, g, o, c_new
@@ -1304,16 +1305,13 @@ def conv_lstm_step(x, h, c, w_x, w_h, w_c, w_c_o, b):
     if h is None:
         wx = w_x.data[_live_rows(hid)]
         inputs = [x, w_x, w_c_o, b]
-        fh = fc = cd = None
+        hd = cd = None
     else:
         wx = w_x.data
         inputs = [x, h, c, w_x, w_h, w_c, w_c_o, b]
-        cd = c.data
-        fh = _dense_conv(h.data, w_h.data, pad)
-        fc = _dense_conv(cd, w_c.data, pad)
-    gates = _lstm_gates(_dense_conv(xd, wx, pad), fh, fc, cd, bias, wco,
+        hd, cd = h.data, c.data
+    gates = _lstm_gates(xd, wx, hd, cd, w_h.data, w_c.data, pad, bias, wco,
                         "conv_lstm_step")
-    del fh, fc
     f, c_new = gates[1], gates[4]
     tc = np.tanh(c_new)
     outs = (Tensor(gates[3] * tc), Tensor(c_new))
@@ -1355,10 +1353,9 @@ def bconv_lstm(xs, fwd, bwd, mix_fwd, mix_bwd, mix_bias):
 
     The forward repeats the NumPy sequence of the same block composed from
     conv_lstm_step, conv2d, add, reshape and tanh, so y is bitwise equal to
-    it. xs[-1]'s patch matrix is gathered once for the two directions'
-    x-stream GEMMs, in the forward and again in the backward. The entry
-    lists an input once per use, in the order the composition's rules
-    return its gradients, so accumulated gradients are bitwise equal too.
+    it. The entry lists an input once per use, in the order the
+    composition's rules return its gradients, so accumulated gradients are
+    bitwise equal too.
     It keeps its inputs, each forward step's i, g, o and c_new (and f after
     the first step), the reverse step's i, g, o and c_new, and y; the
     backward rebuilds tanh(c_new) and h = o tanh(c_new) by the forward's
@@ -1402,26 +1399,24 @@ def bconv_lstm(xs, fwd, bwd, mix_fwd, mix_bwd, mix_bias):
     steps = []  # each forward step's gates and cell, while recording
     h = c = None
     for t, xd in enumerate(xds):
-        cols = _patches(xd, k, k, pad) if t == last else None
-        fx = _dense_conv(xd, fw_x if t else fwx0, pad, cols)
-        if t == last:
-            rfx = _dense_conv(xd, rwx, pad, cols)
-            del cols
-        fh = fc = None
-        if t:
-            fh, fc = _dense_conv(h, fw_h, pad), _dense_conv(c, fw_c, pad)
-        gates = _lstm_gates(fx, fh, fc, c, fbias, fco, "bconv_lstm")
-        del fx, fh, fc
-        if keep:
-            steps.append(gates)
+        gates = _lstm_gates(xd, fw_x if t else fwx0, h, c, fw_h, fw_c, pad,
+                            fbias, fco, "bconv_lstm")
         c = gates[4]
         h = gates[3] * np.tanh(c)
-    rgates = _lstm_gates(rfx, None, None, None, rbias, rco, "bconv_lstm")
-    del rfx
+        if keep:
+            steps.append(gates)
+        del gates
+    del c
+    rgates = _lstm_gates(xds[last], rwx, None, None, None, None, pad, rbias,
+                         rco, "bconv_lstm")
+    rh = rgates[3] * np.tanh(rgates[4])
+    if not keep:
+        del rgates
     with np.errstate(over="ignore", invalid="ignore"):
         s = _conv(h, mix_fwd.data, mpad, False)
-        del h, c
-        s += _conv(rgates[3] * np.tanh(rgates[4]), mix_bwd.data, mpad, False)
+        del h
+        s += _conv(rh, mix_bwd.data, mpad, False)
+        del rh
         s += mix_bias.data.reshape(1, hid, 1, 1)
     _check_finite(s, "bconv_lstm")
     y = np.tanh(s)
@@ -1440,11 +1435,17 @@ def bconv_lstm(xs, fwd, bwd, mix_fwd, mix_bwd, mix_bias):
                                 False, True, need_mb)
         rd, _, r_dwco = _lstm_dgates(g_h, None, rgates, rtc, None, rco)
         del rtc
+        rgx, g_rwx = _dense_conv_grads(rd, xds[last], rwx, pad,
+                                       xs[last].requires_grad, need_rwx)
+        reverse = [rgx, _zero_forget(g_rwx, hid), r_dwco,
+                   _zero_forget(_channel_sum(rd), hid)]
+        del rd, rgx
         o, c_new = steps[last][3], steps[last][4]
         g_h, g_mf = _conv_grads(dz, o * np.tanh(c_new), mix_fwd.data, mpad,
                                 False, True, need_mf)
         del dz
-        grads += [g_mb, g_mf]
+        grads += [g_mb, g_mf, *reverse]
+        del reverse
         g_c = None
         for t in range(last, -1, -1):
             gates, xd, need_x = steps[t], xds[t], xs[t].requires_grad
@@ -1452,21 +1453,7 @@ def bconv_lstm(xs, fwd, bwd, mix_fwd, mix_bwd, mix_bias):
             c_prev = steps[t - 1][4] if t else None
             d, dc, dwco = _lstm_dgates(g_h, g_c, gates, np.tanh(gates[4]),
                                        c_prev, fco)
-            if t == last:
-                # both directions' kernel gradients from one gather, freed
-                # before the input gradients' column buffers are made
-                cols = _patches(xd, k, k, pad)
-                g_rwx = _dense_conv_grads(rd, xd, rwx, pad, False, need_rwx,
-                                          cols)[1]
-                gwx = _dense_conv_grads(d, xd, wx, pad, False, need_wx, cols)[1]
-                del cols
-                grads += [_dense_conv_grads(rd, xd, rwx, pad, need_x, False)[0],
-                          _zero_forget(g_rwx, hid), r_dwco,
-                          _zero_forget(_channel_sum(rd), hid)]
-                del rd
-                gx = _dense_conv_grads(d, xd, wx, pad, need_x, False)[0]
-            else:
-                gx, gwx = _dense_conv_grads(d, xd, wx, pad, need_x, need_wx)
+            gx, gwx = _dense_conv_grads(d, xd, wx, pad, need_x, need_wx)
             if not t:
                 grads += [gx, _zero_forget(gwx, hid), dwco,
                           _zero_forget(_channel_sum(d), hid)]

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tempfile
 import weakref
 from pathlib import Path
@@ -296,10 +299,9 @@ class TestCounters:
         dense_conv = T._dense_conv
 
         # every k x k convolution, the ones inside T.bconv_lstm included,
-        # runs through the shared dense-conv helper; cols is a patch matrix
-        # gathered once for two GEMMs, each counted
-        def counting(xd, wd, padding, cols=None):
-            out = dense_conv(xd, wd, padding, cols)
+        # runs through the shared dense-conv helper
+        def counting(xd, wd, padding):
+            out = dense_conv(xd, wd, padding)
             cout, cper, kh, kw = wd.shape
             executed.append(2 * cout * cper * kh * kw * out.shape[2] * out.shape[3])
             return out
@@ -352,8 +354,8 @@ class TestCounters:
                 executed.append(2 * out.size * int(np.prod(wt.shape[1:])))
             return out
 
-        def counting_dense_conv(xd, wd, padding, cols=None):
-            out = dense_conv(xd, wd, padding, cols)
+        def counting_dense_conv(xd, wd, padding):
+            out = dense_conv(xd, wd, padding)
             executed.append(2 * out.size * int(np.prod(wd.shape[1:])))
             return out
 
@@ -411,9 +413,9 @@ class TestCounters:
 
         # the ConvLSTM gate and mixing convolutions run inside T.bconv_lstm,
         # which calls the dense-conv helper directly
-        def watching_dense(xd, wd, padding, cols=None):
+        def watching_dense(xd, wd, padding):
             shapes.append(("dense", xd.shape, bool(xd.any())))
-            return dense_conv(xd, wd, padding, cols)
+            return dense_conv(xd, wd, padding)
 
         def watching_separable(xin, *rest):
             shapes.append(("separable", xin.shape, bool(xin.data.any())))
@@ -621,6 +623,36 @@ class TestCheckpoint:
         M.save_checkpoint(new, ckpt)
         assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
         assert tensor_bytes(M.load_checkpoint(ckpt)) == tensor_bytes(new)
+
+    def test_save_killed_between_renames(self, tmp_path):
+        ckpt, source = tmp_path / "ckpt", tmp_path / "new"
+        old = M.build(tiny_config(), seed=11)
+        M.save_checkpoint(old, ckpt)
+        files = {p.name: p.read_bytes() for p in ckpt.iterdir()}
+        M.save_checkpoint(M.build(tiny_config(), seed=12), source)
+        # a second process saves over ckpt and dies right after its first
+        # rename, which moved the old checkpoint aside
+        child = (
+            "import os, sys\n"
+            "from hybridseg import model as M\n"
+            "replace = os.replace\n"
+            "def dying(src, dst):\n"
+            "    replace(src, dst)\n"
+            "    os._exit(3)\n"
+            "os.replace = dying\n"
+            "M.save_checkpoint(M.load_checkpoint(sys.argv[1]), sys.argv[2])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(M.__file__).parents[1]))
+        run = subprocess.run([sys.executable, "-c", child, str(source), str(ckpt)],
+                             env=env, capture_output=True, timeout=120)
+        assert run.returncode == 3, run.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            ".ckpt.old", ".ckpt.tmp", "new"]
+        assert tensor_bytes(M.load_checkpoint(ckpt)) == tensor_bytes(old)
+        assert {p.name: p.read_bytes() for p in ckpt.iterdir()} == files
+        M.save_checkpoint(old, ckpt)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt", "new"]
+        assert {p.name: p.read_bytes() for p in ckpt.iterdir()} == files
 
     def test_missing_directory(self, tmp_path):
         with pytest.raises(FormatError):
