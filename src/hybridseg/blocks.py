@@ -53,7 +53,9 @@ def init_separable_conv(rng, in_ch, out_ch, k=3):
 
 def separable_conv_bn(x, p, training, update_stats=None, relu=False):
     """Depthwise conv, pointwise 1x1 conv, batch normalization, then a ReLU
-    when relu: one tape entry (tensor.separable_conv_bn).
+    when relu: one tape entry (tensor.separable_conv_bn), which keeps its
+    inputs, the batch mean and std and the ReLU mask, and rebuilds the
+    convolutions' outputs in the backward.
 
     Training mode normalizes with batch statistics; inference mode with the
     stored running statistics. update_stats (default: same as training)

@@ -509,6 +509,7 @@ def _normalize_grads(g, centered, std, g4, reduced, count, batch_stats):
     if not batch_stats:
         return gc, None, g_gamma, g_beta
     g_std = _unbroadcast(-g_xhat * xhat / std, reduced)
+    del xhat, g_xhat
     g_sq = np.broadcast_to(g_std * 0.5 / std, centered.shape) / count
     g_sq *= centered
     gc += g_sq  # the two factors of centered * centered, one at a time
@@ -637,19 +638,12 @@ def _depthwise_conv(xd, wd, p):
 
 def _depthwise_conv_grads(g, xd, wd, p, need_x, need_w):
     """(input, kernel) gradients of _depthwise_conv; the padded input is
-    rebuilt from xd, so no tape entry holds a padded copy."""
+    rebuilt from xd, so no tape entry holds a padded copy. The kernel's run
+    first and free that copy before the input's padded buffer is made."""
     b, c, h, w = xd.shape
     kh, kw = wd.shape[2:]
     ho, wo = g.shape[2:]
     gx = gw = None
-    if need_x:
-        gxp = np.zeros((b, c, h + 2 * p, w + 2 * p))
-        for ki in range(kh):
-            for kj in range(kw):
-                gxp[:, :, ki : ki + ho, kj : kj + wo] += (
-                    g * wd[None, :, 0, ki, kj, None, None]
-                )
-        gx = np.ascontiguousarray(gxp[:, :, p : p + h, p : p + w]) if p else gxp
     if need_w:
         xp = _pad_hw(xd, p)
         gw = np.empty_like(wd)
@@ -658,6 +652,15 @@ def _depthwise_conv_grads(g, xd, wd, p, need_x, need_w):
                 gw[:, 0, ki, kj] = (
                     g * xp[:, :, ki : ki + ho, kj : kj + wo]
                 ).sum(axis=(0, 2, 3))
+        del xp  # freed before the input gradient's buffer is made
+    if need_x:
+        gxp = np.zeros((b, c, h + 2 * p, w + 2 * p))
+        for ki in range(kh):
+            for kj in range(kw):
+                gxp[:, :, ki : ki + ho, kj : kj + wo] += (
+                    g * wd[None, :, 0, ki, kj, None, None]
+                )
+        gx = np.ascontiguousarray(gxp[:, :, p : p + h, p : p + w]) if p else gxp
     return gx, gw
 
 
@@ -805,9 +808,12 @@ def separable_conv_bn(x, dw, pw, gamma, beta, eps, stats=None, relu=False):
     normalize and relu, so outputs are bitwise equal to that composition;
     with one input channel, conv2d(groups=1) takes its dense path, and so
     does this. The backward is written out in the composition's order. The
-    entry keeps its inputs, the depthwise output, the centred pointwise
-    output and the ReLU mask, and no patch matrix: the depthwise backward
-    pads x again, and a dense one-channel backward gathers its patches again.
+    entry keeps its inputs, the batch mean and std and the ReLU mask: the
+    backward rebuilds the depthwise output and the centred pointwise output
+    from x with the forward's own ops, bit for bit, and drops each
+    intermediate once used. It keeps no patch matrix either: the depthwise
+    backward pads x again, and a dense one-channel backward gathers its
+    patches again.
     """
     xd, dwd, pwd = x.data, dw.data, pw.data
     if xd.ndim != 4 or dwd.ndim != 4 or pwd.ndim != 4:
@@ -832,16 +838,15 @@ def separable_conv_bn(x, dw, pw, gamma, beta, eps, stats=None, relu=False):
     inputs = [x, dw, pw, gamma, beta]
     keep = _recording(inputs)
 
-    # with no tape entry to make, each intermediate is dropped after its use
+    # each intermediate is dropped after its use, with or without a tape
     y1 = _conv(xd, dwd, p, depthwise)
     _check_finite(y1, "separable_conv_bn depthwise")
     y2 = _conv(y1, pwd, 0, False)
     _check_finite(y2, "separable_conv_bn pointwise")
-    y1 = y1 if keep else None
+    del y1
     y, centered, std, mean, var = _normalize(
         y2, g4, b4, (0, 2, 3), reduced, eps, stats, "separable_conv_bn")
-    del y2
-    centered = centered if keep else None
+    del y2, centered
     mask = None
     if relu:
         _kink_hook(lambda: float(np.min(np.abs(y))) if y.size else np.inf)
@@ -855,12 +860,21 @@ def separable_conv_bn(x, dw, pw, gamma, beta, eps, stats=None, relu=False):
     def bw(g):
         if relu:
             g = g * mask
+        # the forward's depthwise and centred pointwise outputs, rebuilt by
+        # the same ops; both were finite there, so need no errstate here
+        y1 = _conv(xd, dwd, p, depthwise)
+        centred = _conv(y1, pwd, 0, False)
+        centred -= mean
         gc, g_mean, g_gamma, g_beta = _normalize_grads(
-            g, centered, std, g4, reduced, b * h * w, stats is None)
+            g, centred, std, g4, reduced, b * h * w, stats is None)
+        del centred
         # the composition adds the mean-path gradient to the centred one
-        g2 = gc if g_mean is None else gc + g_mean
-        g1, g_pw = _conv_grads(g2, y1, pwd, 0, False, need_x or need_dw,
+        if g_mean is not None:
+            gc += g_mean
+            del g_mean
+        g1, g_pw = _conv_grads(gc, y1, pwd, 0, False, need_x or need_dw,
                                need_pw)
+        del gc, y1
         gx = g_dw = None
         if g1 is not None:
             gx, g_dw = _conv_grads(g1, xd, dwd, p, depthwise, need_x, need_dw)
@@ -1047,6 +1061,19 @@ def _attention_probs(q, kt, scale, blocked, heads, stats=None):
     return p, row_max, row_sum
 
 
+def _qkv_heads(rows, wqkv, q_bias, v_bias, nwin, heads):
+    """Token rows (nwin*T, C) -> the per-head q (nwin*heads, T, hd), k^T
+    (nwin*heads, hd, T) and v (nwin*heads, T, hd), with the query and value
+    biases added. None of the three is a view of the qkv product."""
+    c = wqkv.shape[0]
+    tokens, hd = rows.shape[0] // nwin, c // heads
+    qkv = (rows @ wqkv).reshape(nwin, tokens, 3, heads, hd)
+    q = _biased_heads(qkv[:, :, 0], q_bias)
+    kt = qkv[:, :, 1].transpose(0, 2, 3, 1).copy()
+    v = _biased_heads(qkv[:, :, 2], v_bias)
+    return q, kt.reshape(nwin * heads, hd, tokens), v
+
+
 def window_attention(x, qkv_w, q_bias, v_bias, proj_w, proj_b, n, heads, shift):
     """Multi-head self-attention within n x n windows of an NCHW map.
 
@@ -1054,10 +1081,10 @@ def window_attention(x, qkv_w, q_bias, v_bias, proj_w, proj_b, n, heads, shift):
     that became window-mates only through that wrap do not attend to each
     other; the output is shifted back. Queries and values carry biases, keys
     do not. One tape entry, with dS = P * (dP - rowsum(dP * P)) on the
-    scores. The entry keeps the per-head q, k^T and v and the row max and
-    row sum of the softmax, not the probabilities P: the backward rebuilds P
-    from them with the forward's own ops, so bit for bit, and then the
-    context and the token rows.
+    scores. The entry keeps its inputs and the row max and row sum of the
+    softmax, no q, k^T, v or probabilities P: the backward rebuilds the
+    token rows, q, k^T and v, and then P, from them with the forward's own
+    ops, so bit for bit. Its P-sized work runs one image at a time.
     """
     xd = x.data
     if xd.ndim != 4:
@@ -1088,49 +1115,50 @@ def window_attention(x, qkv_w, q_bias, v_bias, proj_w, proj_b, n, heads, shift):
             xd.shape)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        qkv = to_rows(xd) @ wqkv
-        qkv = qkv.reshape(nwin, tokens, 3, heads, hd)
-        q = _biased_heads(qkv[:, :, 0], q_bias.data)
-        # copied, so that no kept array pins the qkv block
-        kt = qkv[:, :, 1].transpose(0, 2, 3, 1).copy()
-        kt = kt.reshape(nwin * heads, hd, tokens)
-        v = _biased_heads(qkv[:, :, 2], v_bias.data)
-        del qkv
+        q, kt, v = _qkv_heads(to_rows(xd), wqkv, q_bias.data, v_bias.data,
+                              nwin, heads)
         p, row_max, row_sum = _attention_probs(q, kt, scale, blocked, heads)
         y = _merge_heads(p @ v, nwin) @ wproj
-        del p
+        del p, q, kt, v
         y += proj_b.data
         out = Tensor(to_map(y))
 
     def bw(g):
         g_rows = to_rows(g)
         g_ctx = _split_heads(g_rows @ wproj.T, nwin, heads)
-        p = _attention_probs(q, kt, scale, blocked, heads,
-                             (row_max, row_sum))[0]
-        ctx = _merge_heads(p @ v, nwin)
-        ds = g_ctx @ v.transpose(0, 2, 1)
-        dv = p.transpose(0, 2, 1) @ g_ctx
-        # the row sums of dP * P, one image at a time, so that no third
-        # array of P's size is live next to P and dP
-        dot, step = np.empty_like(row_sum), len(ds) // max(b, 1)
-        for s in (slice(i * step, (i + 1) * step) for i in range(b)):
-            np.sum(ds[s] * p[s], axis=2, keepdims=True, out=dot[s])
-        ds -= dot
-        ds *= p
-        del p
-        ds *= scale
-        # dq, dk and dv in the column layout of qkv, each written once
+        rows = to_rows(xd)
+        q, kt, v = _qkv_heads(rows, wqkv, q_bias.data, v_bias.data, nwin,
+                              heads)
+        # P, the context and dq, dk, dv one image at a time, into buffers
+        # of the whole batch; dq, dk and dv in the column layout of qkv
+        ctx = np.empty_like(q)
         dqkv = np.empty((nwin, tokens, 3, heads, hd))
-        dqkv[:, :, 0] = (ds @ kt.transpose(0, 2, 1)).reshape(
-            nwin, heads, tokens, hd).transpose(0, 2, 1, 3)
-        dqkv[:, :, 1] = (q.transpose(0, 2, 1) @ ds).reshape(
-            nwin, heads, hd, tokens).transpose(0, 3, 1, 2)
-        dqkv[:, :, 2] = dv.reshape(
-            nwin, heads, tokens, hd).transpose(0, 2, 1, 3)
+        per = nwin // b  # windows per image
+        for i in range(b):
+            wins = slice(i * per, (i + 1) * per)
+            s = slice(i * per * heads, (i + 1) * per * heads)
+            p = _attention_probs(q[s], kt[s], scale, blocked, heads,
+                                 (row_max[s], row_sum[s]))[0]
+            np.matmul(p, v[s], out=ctx[s])
+            ds = g_ctx[s] @ v[s].transpose(0, 2, 1)
+            dv = p.transpose(0, 2, 1) @ g_ctx[s]
+            ds -= np.sum(ds * p, axis=2, keepdims=True)
+            ds *= p
+            del p
+            ds *= scale
+            dqkv[wins, :, 0] = (ds @ kt[s].transpose(0, 2, 1)).reshape(
+                per, heads, tokens, hd).transpose(0, 2, 1, 3)
+            dqkv[wins, :, 1] = (q[s].transpose(0, 2, 1) @ ds).reshape(
+                per, heads, hd, tokens).transpose(0, 3, 1, 2)
+            dqkv[wins, :, 2] = dv.reshape(
+                per, heads, tokens, hd).transpose(0, 2, 1, 3)
+            del ds, dv
+        del q, kt, v, g_ctx
+        ctx = _merge_heads(ctx, nwin)
         dqkv = dqkv.reshape(-1, 3 * c)
         return (
             to_map(dqkv @ wqkv.T),
-            to_rows(xd).T @ dqkv,
+            rows.T @ dqkv,
             dqkv[:, :c].sum(axis=0),
             dqkv[:, 2 * c :].sum(axis=0),
             ctx.T @ g_rows,

@@ -9,12 +9,16 @@ the fused primitives' hand-written ones against.
 backward_retaining is tensor.backward as it was before backward released
 the tape as it ran, and closure_arrays lists what a tape entry's rule
 holds; the tests of what the tape keeps alive use both.
-window_attention_keeping_p and pointwise_mlp_keeping_hidden are the fused
-ops as they were while their entries kept the attention probabilities and
-the MLP hidden layer: the oracles for the recomputing entries' bits.
+window_attention_keeping_p, pointwise_mlp_keeping_hidden and
+separable_conv_bn_keeping are the fused ops as they were while their
+entries kept the attention probabilities, the MLP hidden layer and the
+separable block's depthwise and centred outputs: the oracles for the
+recomputing entries' bits. rule_peaks measures, with tracemalloc, the
+memory peak of every backward rule on a tape.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -231,3 +235,64 @@ def pointwise_mlp_keeping_hidden(x, w1, b1, w2, b2):
         return gx, g_w1, g_b1, g_w2, g_b2
 
     return T._register(out, [x, w1, b1, w2, b2], bw)
+
+
+def separable_conv_bn_keeping(x, dw, pw, gamma, beta, eps, stats=None,
+                              relu=False):
+    """T.separable_conv_bn whose entry keeps the depthwise output and the
+    centred pointwise output."""
+    xd, dwd, pwd = x.data, dw.data, pw.data
+    b, cin, h, w = xd.shape
+    k, cout = dwd.shape[-1], pwd.shape[0]
+    reduced = (1, cout, 1, 1)
+    p, depthwise = (k - 1) // 2, cin > 1
+    g4, b4 = gamma.data.reshape(reduced), beta.data.reshape(reduced)
+    y1 = T._conv(xd, dwd, p, depthwise)
+    y, centered, std, mean, var = T._normalize(
+        T._conv(y1, pwd, 0, False), g4, b4, (0, 2, 3), reduced, eps, stats,
+        "separable_conv_bn")
+    mask = None
+    if relu:
+        mask = y > 0.0
+        np.maximum(y, 0.0, out=y)
+    out = Tensor(y)
+    need_x, need_dw, need_pw = x.requires_grad, dw.requires_grad, pw.requires_grad
+
+    def bw(g):
+        if relu:
+            g = g * mask
+        gc, g_mean, g_gamma, g_beta = T._normalize_grads(
+            g, centered, std, g4, reduced, b * h * w, stats is None)
+        g2 = gc if g_mean is None else gc + g_mean
+        g1, g_pw = T._conv_grads(g2, y1, pwd, 0, False, need_x or need_dw,
+                                 need_pw)
+        gx = g_dw = None
+        if g1 is not None:
+            gx, g_dw = T._conv_grads(g1, xd, dwd, p, depthwise, need_x,
+                                     need_dw)
+        return gx, g_dw, g_pw, g_gamma, g_beta
+
+    return T._register(out, [x, dw, pw, gamma, beta], bw), mean, var
+
+
+def rule_peaks(tape):
+    """Wrap every backward rule on the tape so that, as backward runs it,
+    the tracemalloc peak over the rule (the peak reset as it starts) is
+    appended to the returned list as (tape index, op name, bytes). Start
+    tracemalloc before the forward, so that the peaks count what the tape
+    holds. A wrapper holds only its rule, so backward still releases each
+    entry once its rule has run."""
+    peaks = []
+
+    def wrap(k, rule):
+        def traced(*gs):
+            tracemalloc.reset_peak()
+            grads = rule(*gs)
+            peaks.append((k, rule.__qualname__.split(".")[0],
+                          tracemalloc.get_traced_memory()[1]))
+            return grads
+        return traced
+
+    tape.ops[:] = [(outs, inputs, wrap(k, bw))
+                   for k, (outs, inputs, bw) in enumerate(tape.ops)]
+    return peaks

@@ -608,9 +608,17 @@ class TestSeparableConvPrimitive:
              given_stats=True, x_grad=False, seed=3)
     @example(batch=2, cin=3, cout=2, height=5, width=4, k=3, relu=False,
              given_stats=False, x_grad=True, seed=4)
+    @example(batch=1, cin=1, cout=2, height=3, width=4, k=3, relu=True,
+             given_stats=False, x_grad=True, seed=5)
+    @example(batch=3, cin=3, cout=2, height=5, width=4, k=3, relu=True,
+             given_stats=True, x_grad=True, seed=7)
+    @example(batch=3, cin=4, cout=4, height=2, width=5, k=1, relu=False,
+             given_stats=False, x_grad=True, seed=8)
     def test_matches_composition(self, batch, cin, cout, height, width, k, relu,
                                  given_stats, x_grad, seed):
-        # cin == 1 is conv2d's dense path, cin > 1 its depthwise one
+        # cin == 1 is conv2d's dense path, cin > 1 its depthwise one; the
+        # backward rebuilds the depthwise and centred pointwise outputs from
+        # x, so it also matches bit for bit the entry that kept them
         rng = np.random.default_rng(seed)
         leaves = _sepconv_leaves(rng, cin, cout, k, (batch, cin, height, width),
                                  x_grad)
@@ -620,11 +628,33 @@ class TestSeparableConvPrimitive:
         results = [
             _leaf_grads(lambda *a, fn=fn: fn(*a, 1e-3, stats, relu), leaves,
                         weights)
-            for fn in (T.separable_conv_bn, separable_conv_bn_composed)
+            for fn in (T.separable_conv_bn, separable_conv_bn_composed,
+                       O.separable_conv_bn_keeping)
         ]
-        _assert_same(*results)
+        _assert_same(results[0], results[1])
+        _assert_same(results[0], results[2])
         if not x_grad:
             assert results[0][2][0] is None
+
+    @pytest.mark.parametrize("cin", [1, 3])
+    @pytest.mark.parametrize("relu", [True, False])
+    @pytest.mark.parametrize("given_stats", [True, False])
+    def test_entry_keeps_no_feature_map(self, cin, relu, given_stats):
+        # no depthwise output (B, Cin, H, W) besides x and no pointwise or
+        # centred output (B, Cout, H, W); the ReLU mask is the one boolean
+        # array of the output's shape
+        rng = np.random.default_rng(57)
+        x_shape, out_shape = (2, cin, 4, 5), (2, 2, 4, 5)
+        leaves = _sepconv_leaves(rng, cin, 2, 3, x_shape, True)
+        stats = (rng.uniform(-1, 1, 2), rng.uniform(0.1, 2, 2)) \
+            if given_stats else None
+        with T.record() as tape:
+            T.separable_conv_bn(*leaves, 1e-5, stats, relu)
+            (_, _, bw), = tape.ops
+            held = O.closure_arrays(bw)
+        maps = [(a.shape, a.dtype) for a in held
+                if a.shape in (x_shape, out_shape) and a is not leaves[0].data]
+        assert maps == ([(out_shape, np.dtype(bool))] if relu else [])
 
     @pytest.mark.parametrize("training", [True, False])
     @pytest.mark.parametrize("placement", ["skips_and_dense", "none"])
@@ -1494,10 +1524,13 @@ class TestWindowAttentionPrimitive:
              x_grad=False, seed=2)
     @example(batch=1, heads=1, head_dim=4, n=4, rows=2, cols=2, shifted=True,
              x_grad=False, seed=3)
+    @example(batch=3, heads=4, head_dim=2, n=2, rows=2, cols=3, shifted=True,
+             x_grad=True, seed=4)
     def test_recomputed_probabilities_match_kept_ones(
             self, batch, heads, head_dim, n, rows, cols, shifted, x_grad, seed):
-        # the backward rebuilds P, the context and the token rows: output
-        # and every gradient are bitwise those of the entry that kept them
+        # the backward rebuilds the token rows, q, k^T, v, P and the
+        # context, and runs P's work one image at a time: output and every
+        # gradient are bitwise those of the entry that kept them
         rng = np.random.default_rng(seed)
         c = heads * head_dim
         shape = (batch, c, rows * n, cols * n)
@@ -1520,7 +1553,8 @@ class TestWindowAttentionPrimitive:
     @pytest.mark.parametrize("shifted", [False, True])
     def test_entry_keeps_no_probabilities(self, shifted):
         # 2 images of 6 windows, 2 heads of width 3, 4 tokens per window:
-        # P would be (24, 4, 4), larger than anything the entry may keep
+        # P would be (24, 4, 4), q and v (24, 4, 3) and k^T (24, 3, 4), each
+        # at least x's size and larger than anything else the entry may keep
         rng = np.random.default_rng(30)
         p = B.init_swin_pair(rng, 6, 2, 2)
         x = Tensor(rng.uniform(-1, 1, (2, 6, 4, 6)), requires_grad=True)
@@ -1528,9 +1562,11 @@ class TestWindowAttentionPrimitive:
             B.window_attention(x, p, shifted=shifted)
             (_, _, bw), = tape.ops
             held = O.closure_arrays(bw)
-        assert [a.shape for a in held if a.shape == (24, 4, 4)] == []
-        assert [a.shape for a in held if a.size >= 24 * 4 * 4] == []
-        # q, k^T and v keep no view of a larger buffer, such as qkv's
+        shapes = {(24, 4, 4), (24, 4, 3), (24, 3, 4)}
+        assert [a.shape for a in held if a.shape in shapes] == []
+        assert [a.shape for a in held
+                if a.size >= 24 * 4 * 3 and a is not x.data] == []
+        # the row statistics keep no view of a larger buffer
         assert [a.shape for a in held
                 if a.base is not None and a.base.size > a.size] == []
 

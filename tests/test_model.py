@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from hybridseg import losses as L
 from hybridseg import model as M
 from hybridseg import tensor as T
 from hybridseg.tensor import FormatError, ShapeError, Tensor, grad_check
-from taped_ops import backward_retaining, closure_arrays
+from taped_ops import backward_retaining, closure_arrays, rule_peaks
 
 
 def tiny_config(**kw):
@@ -481,7 +482,7 @@ def training_loss(params, cfg, seed):
 # the arrays a rule keeps besides its inputs, by the op that made the entry:
 # bconv_lstm keeps each forward step's and the reverse step's gates and cell,
 # in a list and a tuple, and its output
-HELD_BY_RULE = {"window_attention": ("q", "kt", "v", "row_max", "row_sum"),
+HELD_BY_RULE = {"window_attention": ("row_max", "row_sum"),
                 "bconv_lstm": ("steps", "rgates", "y")}
 
 
@@ -496,9 +497,9 @@ def _arrays(v):
 
 def watch_entries(tape, root):
     """Weak references to what every entry but the first keeps alive: its
-    output arrays (the root's aside), its rule, and the attention's per-head
-    q, k^T, v and softmax row statistics and the ConvLSTM gate activations
-    and cells in that rule's closure."""
+    output arrays (the root's aside), its rule, and the attention's softmax
+    row statistics and the ConvLSTM gate activations and cells in that
+    rule's closure."""
     refs = []
     for outs, _, bw in tape.ops[1:]:
         op = bw.__qualname__.split(".")[0]
@@ -513,6 +514,43 @@ def watch_entries(tape, root):
     return refs
 
 
+# tracemalloc peak of one training step at the acceptance configuration
+# (batch 8, dice plus jaccard loss), the parameters and their build aside:
+# the highest backward rule's or the forward's, about a tenth over the
+# 37.3 MB (binary, single skips) and 42.5 MB (3 classes, paired skips)
+# measured when the separable-conv and attention entries stopped keeping
+# their intermediates; the entries that kept them peaked at 54.1 and 58.6
+@pytest.mark.parametrize("classes,mode,bound_mb", [(1, "single", 41.0),
+                                                   (3, "paired", 47.0)])
+def test_training_step_memory_peak(classes, mode, bound_mb):
+    cfg = M.ModelConfig(num_classes=classes, skip_sequence_mode=mode)
+    params = M.build(cfg, 0)
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.uniform(0, 1, (8, 1, 32, 32)))
+    labels = rng.integers(0, max(classes, 2), (8, 32, 32))
+    masks = [labels > 0] if classes == 1 else [labels == k
+                                               for k in range(classes)]
+    g = Tensor(np.stack(masks, axis=1).astype(float))
+    tracemalloc.start()
+    try:
+        with T.record() as tape:
+            out = M.forward(params, x, training=True)
+            total = L.composite_loss(out, g, L.LossSchedule(), 0,
+                                     components=("dice", "jaccard"))[0]
+            forward_peak = tracemalloc.get_traced_memory()[1]
+            entries = len(tape)
+            peaks = rule_peaks(tape)
+            T.backward(total)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == entries  # every rule ran, each wrapped once
+    k, op, rule_peak = max(peaks, key=lambda r: r[2])
+    top = f"rule {k} ({op}) at {rule_peak / 1e6:.2f} MB"
+    assert forward_peak <= bound_mb * 1e6, (
+        f"forward peaks at {forward_peak / 1e6:.2f} MB; highest {top}")
+    assert rule_peak <= bound_mb * 1e6, f"step peak: {top}"
+
+
 @pytest.mark.parametrize("mode", ["single", "paired"])
 class TestBackwardReleasesTape:
     def test_entries_are_released_before_the_first_rule_runs(self, mode):
@@ -523,8 +561,7 @@ class TestBackwardReleasesTape:
             root = training_loss(params, cfg, 7)
             refs = watch_entries(tape, root)
             assert {op for op, _ in refs} >= {
-                "window_attention", "window_attention.q", "window_attention.kt",
-                "window_attention.v", "window_attention.row_max",
+                "window_attention", "window_attention.row_max",
                 "window_attention.row_sum", "bconv_lstm", "bconv_lstm.steps",
                 "bconv_lstm.rgates", "bconv_lstm.y"}
             outs, inputs, first = tape.ops[0]
