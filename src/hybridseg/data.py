@@ -23,6 +23,8 @@ class SynthSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}")
+        if self.image_size < 8:
+            raise ValueError("image_size must be at least 8")
         if self.image_size % 8:
             raise ValueError("image_size must be a multiple of 8")
         if self.count < 1 or self.num_classes < 1:

@@ -190,7 +190,10 @@ class TTestResult:
 
 
 def paired_t_test(scores_a, scores_b):
-    """Paired two-tailed t-test on matched score lists (sample sd, n-1 df)."""
+    """Paired two-tailed t-test on matched score lists (sample sd, n-1 df).
+
+    ValueError unless every score, paired difference and the differences'
+    sample sd is finite."""
     a = np.asarray(scores_a, dtype=float)
     b = np.asarray(scores_b, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
@@ -198,8 +201,12 @@ def paired_t_test(scores_a, scores_b):
     n = a.size
     if n < 2:
         raise ValueError("paired t-test requires n >= 2")
-    d = a - b
-    sd = d.std(ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = a - b
+        sd = d.std(ddof=1)
+    if not (np.isfinite(d).all() and np.isfinite(sd)):
+        raise ValueError("paired t-test scores must be finite, and so must "
+                         "their differences and the differences' spread")
     if sd == 0.0:
         raise ValueError("zero variance of paired differences")
     t = float(d.mean() / (sd / math.sqrt(n)))

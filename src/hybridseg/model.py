@@ -41,8 +41,14 @@ class ModelConfig:
     skip_sequence_mode: str = "single"  # or "paired": [decoder, skip] sequence
 
     def __post_init__(self):
+        for key, least in (("input_height", 8), ("input_width", 8),
+                           ("window_size", 1), ("num_heads", 1)):
+            if getattr(self, key) < least:
+                raise ValueError(f"{key} must be at least {least}")
         if self.input_height % 8 or self.input_width % 8:
             raise ValueError("input extents must be multiples of 8")
+        if not np.isfinite(self.mlp_ratio):
+            raise ValueError("mlp_ratio must be finite")
         if self.transformer_placement not in PLACEMENTS:
             raise ValueError(
                 f"placement must be one of {PLACEMENTS}, "
@@ -56,6 +62,11 @@ class ModelConfig:
             if d % self.num_heads:
                 raise ValueError(
                     f"attention width {d} not divisible by {self.num_heads} heads"
+                )
+            if int(d * self.mlp_ratio) < 1:
+                raise ValueError(
+                    f"mlp_ratio {self.mlp_ratio} leaves attention width {d} "
+                    "no MLP hidden channel"
                 )
 
     @property

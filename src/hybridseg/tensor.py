@@ -9,11 +9,15 @@ so afterwards only the leaves and the root keep a ``grad``.
 
 A tape entry keeps what its backward cannot cheaply rebuild, and its
 backward recomputes the rest bit for bit with the forward's own ops: a
-convolution keeps its inputs, not its patch matrix; window_attention keeps
-the per-head q, k^T and v and the softmax's row max and row sum, not the
-attention probabilities, the context or the token rows; pointwise_mlp
-keeps its inputs, not its ReLU hidden layer; bconv_lstm keeps its gates
-and cells, not its hidden states or its mixing convolutions' outputs.
+convolution keeps its inputs, not its patch matrix; separable_conv_bn
+keeps its inputs, the batch mean and std and the ReLU mask, not its
+depthwise or centred pointwise outputs; window_attention keeps its inputs
+and the softmax's row max and row sum, not the token rows, the per-head
+q, k^T and v, the attention probabilities or the context; pointwise_mlp
+keeps its inputs, not its ReLU hidden layer; conv_lstm_step keeps its
+inputs, its gates and c_new, not tanh(c_new); bconv_lstm keeps its gates
+and cells, not its hidden states or its mixing convolutions' outputs. Both
+ConvLSTM ops run one step's backward through the same helper.
 
 The tape is strictly single-threaded: one tape is active at a time and
 recording onto a consumed tape is an error. Tensors that never touch a tape
@@ -1212,28 +1216,31 @@ def _channel_sum(d):
     return _unbroadcast(d, (1, d.shape[1], 1, 1)).reshape(-1)
 
 
-def _lstm_gates(xd, wx, h, c, w_h, w_c, pad, bias, wco, opname):
+def _lstm_gates(xd, h, c, w, pad, opname):
     """Gate activations (i, f, g, o) and new cell c_new of one ConvLSTM
     step, as a tuple (i, f, g, o, c_new).
 
-    xd is the step's input, wx its kernels: in the gate layout i, o, c for
-    a zero-state step, which passes h, c, w_h and w_c as None and gets f
-    None; in the layout i, f, o, c for a stateful step, whose w_h is in
-    that layout too and w_c in i, f. bias is the four gates' (1, hid, 1, 1)
-    biases, wco the (1, hid, 1, 1) output peephole. Each stream's
+    xd is the step's input; h and c are its hidden state and cell, both
+    None for a zero-state step, which gets f None. w is one direction's
+    (w_x, w_h, w_c, w_c_o, b) arrays, as conv_lstm_step takes them: w_x,
+    w_h and b in the gate layout i, f, o, c, w_c in i, f, w_c_o the
+    (hid,) output peephole. A zero-state step convolves xd with the i, o
+    and c rows of w_x alone and reads neither w_h nor w_c. Each stream's
     convolution output is dropped as soon as the gates have read it. A
     pre-activation is checked before it is squashed: sigmoid(inf) and
     tanh(inf) are finite.
     """
-    hid = wco.shape[1]
-    bi, bf, bo, bc = bias
+    w_x, w_h, w_c, w_c_o, b = w
+    hid = w_c_o.shape[0]
+    bi, bf, bo, bc = np.split(b.reshape(1, 4 * hid, 1, 1), 4, axis=1)
+    wco = w_c_o.reshape(1, hid, 1, 1)
 
     def squash(fn, pre):
         _check_finite(pre, opname)
         return fn(pre)
 
     f = None
-    fx = _dense_conv(xd, wx, pad)
+    fx = _dense_conv(xd, w_x if h is not None else w_x[_live_rows(hid)], pad)
     with np.errstate(over="ignore", invalid="ignore"):
         if h is None:
             i = squash(_sigmoid, fx[:, :hid] + bi)
@@ -1263,32 +1270,53 @@ def _lstm_gates(xd, wx, h, c, w_h, w_c, pad, bias, wco, opname):
     return i, f, g, o, c_new
 
 
-def _lstm_dgates(g_h, g_c, gates, tc, c, wco):
-    """(dgates, dc, dwco) of one ConvLSTM step from the gradients g_h of its
-    hidden output and g_c of its cell output (either may be None): the gate
-    pre-activation gradients in the layout of _lstm_gates's fx, the
-    gradient reaching c_new, and the output peephole's gradient. gates is
-    _lstm_gates's tuple, tc = tanh(c_new), c the previous cell (None for a
-    zero-state step). A gate's slice gets exactly one contribution, added
-    to zero as the composed step's narrow gradients are."""
+def _lstm_step_grads(g_h, g_c, gates, xd, h, c, w, pad, need):
+    """Gradients of one ConvLSTM step for (x, h, c, w_x, w_h, w_c, w_c_o,
+    b), None where not needed, from the gradients g_h of its hidden output
+    and g_c of its cell output (either may be None).
+
+    gates is _lstm_gates's tuple for the same xd, h, c and w; need says
+    which of x, h, c, w_x, w_h and w_c want a gradient. tanh(c_new) is
+    rebuilt by the forward's op. The gate pre-activation gradients are laid
+    out as _lstm_gates's fx, and a gate's slice gets exactly one
+    contribution, added to zero as the composed step's narrow gradients
+    are. A zero-state step (h and c None) gets None for h, c, w_h and w_c,
+    and zeros in the forget rows of w_x's and b's gradients, which it does
+    not use. The cell's gradient adds the chain through f c to the
+    peephole convolution's.
+    """
     i, f, g, o, c_new = gates
+    w_x, w_h, w_c, w_c_o, _ = w
+    need_x, need_h, need_c, need_wx, need_wh, need_wc = need
     hid = i.shape[1]
-    rows = 3 * hid if f is None else 4 * hid
+    rows = 3 * hid if h is None else 4 * hid
     dgates = np.zeros((i.shape[0], rows) + i.shape[2:])
     dc, dwco = g_c, None
     if g_h is not None:
+        tc = np.tanh(c_new)
         dt = g_h * o * (1.0 - tc * tc)
         dc = dt if dc is None else dc + dt
         dpre_o = g_h * tc * o * (1.0 - o)
         dwco = _channel_sum(dpre_o * c_new)
-        dc = dc + dpre_o * wco
-        o_at = hid if f is None else 2 * hid
+        dc = dc + dpre_o * w_c_o.reshape(1, hid, 1, 1)
+        o_at = hid if h is None else 2 * hid
         dgates[:, o_at : o_at + hid] += dpre_o
+        del tc, dt, dpre_o
     dgates[:, -hid:] += dc * i * (1.0 - g * g)
     dgates[:, :hid] += dc * g * i * (1.0 - i)
-    if f is not None:
+    if h is not None:
         dgates[:, hid : 2 * hid] += dc * c * f * (1.0 - f)
-    return dgates, dc, dwco
+    wx = w_x if h is not None else w_x[_live_rows(hid)]
+    gx, gwx = _dense_conv_grads(dgates, xd, wx, pad, need_x, need_wx)
+    if h is None:
+        return (gx, None, None, _zero_forget(gwx, hid), None, None, dwco,
+                _zero_forget(_channel_sum(dgates), hid))
+    gh, gwh = _dense_conv_grads(dgates, h, w_h, pad, need_h, need_wh)
+    gc, gwc = _dense_conv_grads(dgates[:, : 2 * hid], c, w_c, pad, need_c,
+                                need_wc)
+    if gc is not None:
+        gc = dc * f + gc
+    return gx, gh, gc, gwx, gwh, gwc, dwco, _channel_sum(dgates)
 
 
 def conv_lstm_step(x, h, c, w_x, w_h, w_c, w_c_o, b):
@@ -1314,8 +1342,9 @@ def conv_lstm_step(x, h, c, w_x, w_h, w_c, w_c_o, b):
     stream's kernels run as one dense convolution. The elementwise steps
     follow the NumPy order of the same update composed from taped ops, so
     outputs are bitwise equal to it; the backward is written out from the
-    cached gate activations. The entry keeps its inputs and no patch matrix:
-    each kernel gradient gathers its stream's patches again.
+    cached gate activations. The entry keeps its inputs, the gates and
+    c_new, and no patch matrix: each kernel gradient gathers its stream's
+    patches again, and tanh(c_new) is rebuilt.
     """
     xd = x.data
     if xd.ndim != 4:
@@ -1328,36 +1357,21 @@ def conv_lstm_step(x, h, c, w_x, w_h, w_c, w_c_o, b):
         raise ShapeError(f"conv_lstm_step state does not match {state}")
 
     pad = (k - 1) // 2
-    bias = np.split(b.data.reshape(1, 4 * hid, 1, 1), 4, axis=1)
-    wco = w_c_o.data.reshape(1, hid, 1, 1)
+    w = tuple(t.data for t in (w_x, w_h, w_c, w_c_o, b))
     if h is None:
-        wx = w_x.data[_live_rows(hid)]
         inputs = [x, w_x, w_c_o, b]
         hd = cd = None
     else:
-        wx = w_x.data
         inputs = [x, h, c, w_x, w_h, w_c, w_c_o, b]
         hd, cd = h.data, c.data
-    gates = _lstm_gates(xd, wx, hd, cd, w_h.data, w_c.data, pad, bias, wco,
-                        "conv_lstm_step")
-    f, c_new = gates[1], gates[4]
-    tc = np.tanh(c_new)
-    outs = (Tensor(gates[3] * tc), Tensor(c_new))
+    gates = _lstm_gates(xd, hd, cd, w, pad, "conv_lstm_step")
+    outs = (Tensor(gates[3] * np.tanh(gates[4])), Tensor(gates[4]))
 
     def bw(g_h, g_c):
-        dgates, dc, dwco = _lstm_dgates(g_h, g_c, gates, tc, cd, wco)
-        gx, gwx = _dense_conv_grads(dgates, xd, wx, pad, x.requires_grad,
-                                    w_x.requires_grad)
-        if h is None:
-            return (gx, _zero_forget(gwx, hid), dwco,
-                    _zero_forget(_channel_sum(dgates), hid))
-        gh, gwh = _dense_conv_grads(dgates, h.data, w_h.data, pad,
-                                    h.requires_grad, w_h.requires_grad)
-        gcp, gwc = _dense_conv_grads(dgates[:, : 2 * hid], cd, w_c.data,
-                                     pad, c.requires_grad, w_c.requires_grad)
-        if gcp is not None:
-            gcp = dc * f + gcp
-        return gx, gh, gcp, gwx, gwh, gwc, dwco, _channel_sum(dgates)
+        need = [t is not None and t.requires_grad
+                for t in (x, h, c, w_x, w_h, w_c)]
+        grads = _lstm_step_grads(g_h, g_c, gates, xd, hd, cd, w, pad, need)
+        return grads if h is not None else (grads[0], grads[3], *grads[6:])
 
     return _register(outs, inputs, bw)
 
@@ -1406,16 +1420,8 @@ def bconv_lstm(xs, fwd, bwd, mix_fwd, mix_bwd, mix_bias):
             f"bias {mix_bias.shape} do not match {hid} hidden channels"
         )
 
-    pad, mpad, live = (k - 1) // 2, (m - 1) // 2, _live_rows(hid)
-    fw_x, fw_h, fw_c = fwd[0].data, fwd[1].data, fwd[2].data
-    fwx0, rwx = fw_x[live], bwd[0].data[live]
-
-    def step_constants(w_c_o, b):
-        return (np.split(b.data.reshape(1, 4 * hid, 1, 1), 4, axis=1),
-                w_c_o.data.reshape(1, hid, 1, 1))
-
-    fbias, fco = step_constants(*fwd[3:])
-    rbias, rco = step_constants(*bwd[3:])
+    pad, mpad = (k - 1) // 2, (m - 1) // 2
+    fw, rw = [t.data for t in fwd], [t.data for t in bwd]
     xds = [t.data for t in xs]
     last = len(xs) - 1
     inputs = [mix_bias, mix_bwd, mix_fwd, xs[last], bwd[0], bwd[3], bwd[4]]
@@ -1426,17 +1432,15 @@ def bconv_lstm(xs, fwd, bwd, mix_fwd, mix_bwd, mix_bias):
 
     steps = []  # each forward step's gates and cell, while recording
     h = c = None
-    for t, xd in enumerate(xds):
-        gates = _lstm_gates(xd, fw_x if t else fwx0, h, c, fw_h, fw_c, pad,
-                            fbias, fco, "bconv_lstm")
+    for xd in xds:
+        gates = _lstm_gates(xd, h, c, fw, pad, "bconv_lstm")
         c = gates[4]
         h = gates[3] * np.tanh(c)
         if keep:
             steps.append(gates)
         del gates
     del c
-    rgates = _lstm_gates(xds[last], rwx, None, None, None, None, pad, rbias,
-                         rco, "bconv_lstm")
+    rgates = _lstm_gates(xds[last], None, None, rw, pad, "bconv_lstm")
     rh = rgates[3] * np.tanh(rgates[4])
     if not keep:
         del rgates
@@ -1452,48 +1456,32 @@ def bconv_lstm(xs, fwd, bwd, mix_fwd, mix_bwd, mix_bias):
     out = Tensor(y)
     if not keep:
         return out
-    need = [t.requires_grad for t in (mix_fwd, mix_bwd, bwd[0], *fwd[:3])]
-    need_mf, need_mb, need_rwx, need_wx, need_wh, need_wc = need
 
     def bw(gy):
         dz = gy * (1.0 - y * y)
         grads = [_unbroadcast(dz, (1, hid, 1, 1)).reshape(mix_bias.shape)]
-        rtc = np.tanh(rgates[4])
-        g_h, g_mb = _conv_grads(dz, rgates[3] * rtc, mix_bwd.data, mpad,
-                                False, True, need_mb)
-        rd, _, r_dwco = _lstm_dgates(g_h, None, rgates, rtc, None, rco)
-        del rtc
-        rgx, g_rwx = _dense_conv_grads(rd, xds[last], rwx, pad,
-                                       xs[last].requires_grad, need_rwx)
-        reverse = [rgx, _zero_forget(g_rwx, hid), r_dwco,
-                   _zero_forget(_channel_sum(rd), hid)]
-        del rd, rgx
+        g_h, g_mb = _conv_grads(dz, rgates[3] * np.tanh(rgates[4]),
+                                mix_bwd.data, mpad, False, True,
+                                mix_bwd.requires_grad)
+        need = (xs[last].requires_grad, False, False, bwd[0].requires_grad,
+                False, False)
+        gx, _, _, *gw = _lstm_step_grads(g_h, None, rgates, xds[last], None,
+                                         None, rw, pad, need)
         o, c_new = steps[last][3], steps[last][4]
         g_h, g_mf = _conv_grads(dz, o * np.tanh(c_new), mix_fwd.data, mpad,
-                                False, True, need_mf)
+                                False, True, mix_fwd.requires_grad)
         del dz
-        grads += [g_mb, g_mf, *reverse]
-        del reverse
+        grads += [g_mb, g_mf, gx, gw[0], *gw[3:]]
         g_c = None
         for t in range(last, -1, -1):
-            gates, xd, need_x = steps[t], xds[t], xs[t].requires_grad
-            wx = fw_x if t else fwx0
             c_prev = steps[t - 1][4] if t else None
-            d, dc, dwco = _lstm_dgates(g_h, g_c, gates, np.tanh(gates[4]),
-                                       c_prev, fco)
-            gx, gwx = _dense_conv_grads(d, xd, wx, pad, need_x, need_wx)
-            if not t:
-                grads += [gx, _zero_forget(gwx, hid), dwco,
-                          _zero_forget(_channel_sum(d), hid)]
-                break
-            h_prev = steps[t - 1][3] * np.tanh(c_prev)
-            g_h, gwh = _dense_conv_grads(d, h_prev, fw_h, pad, True, need_wh)
+            h_prev = steps[t - 1][3] * np.tanh(c_prev) if t else None
+            need = (xs[t].requires_grad, True, True,
+                    *(p.requires_grad for p in fwd[:3]))
+            gx, g_h, g_c, *gw = _lstm_step_grads(
+                g_h, g_c, steps[t], xds[t], h_prev, c_prev, fw, pad, need)
             del h_prev
-            gcp, gwc = _dense_conv_grads(d[:, : 2 * hid], c_prev, fw_c, pad,
-                                         True, need_wc)
-            g_c = dc * gates[1] + gcp
-            grads += [gx, gwx, gwh, gwc, dwco, _channel_sum(d)]
-            del d, dc, gcp
+            grads += [gx, *gw] if t else [gx, gw[0], *gw[3:]]
         return grads
 
     return _register(out, inputs, bw)

@@ -1069,6 +1069,28 @@ class TestConvLSTMPrimitive:
             B.conv_lstm_step(x, s0, p)
         assert len(tape) == 1
 
+    @pytest.mark.parametrize("state, gates", [("none", 3), ("random", 4)])
+    def test_entry_keeps_gates_not_tanh_cell(self, state, gates):
+        # a zero-state step keeps i, g and o, a stateful step f as well;
+        # besides them the rule holds only c_new and the state inputs, and
+        # rebuilds tanh(c_new). Input and hidden widths differ, so x is not
+        # a (B, hid, H, W) array
+        rng = np.random.default_rng(37)
+        p = B.init_conv_lstm(rng, 3, 2)
+        x = Tensor(rng.uniform(-1, 1, (2, 3, 4, 5)), requires_grad=True)
+        s0 = _step_state(state, rng, 2, 2, 4, 5)
+        with T.record() as tape:
+            st_ = B.conv_lstm_step(x, s0, p)
+            (_, _, bw), = tape.ops
+            held = O.closure_arrays(bw)
+        known = [st_.cell.data] + ([] if s0 is None
+                                   else [s0.hidden.data, s0.cell.data])
+        maps = [a for a in held if a.shape == st_.cell.shape]
+        assert all(any(a is k for a in maps) for k in known)
+        assert len([a for a in maps if not any(a is k for k in known)]) == gates
+        tc = np.tanh(st_.cell.data)
+        assert not any(np.array_equal(a, tc) for a in maps)
+
     @pytest.mark.parametrize("state", ["none", "random"])
     def test_grad_check(self, state):
         rng = np.random.default_rng(31)

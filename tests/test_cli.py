@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -184,6 +185,22 @@ class TestTrainEvalPredict:
         assert set(blank) <= set(header)
         for row in rows:
             assert [row[header.index(c)] for c in blank] == [""] * len(blank)
+
+    def test_all_background_masks_ablate(self, capsys, monkeypatch):
+        # every dataset the harness draws has no foreground: sensitivity is
+        # undefined, so its cells stay blank, and the rest are percentages
+        synth = D.synth_dataset
+        monkeypatch.setattr(D, "synth_dataset", lambda spec, seed: [
+            (img, np.zeros_like(mask)) for img, mask in synth(spec, seed)])
+        assert run("ablate", "--mode", "transfer", "--seed", "3") == 0
+        header, *rows = [line.split(",")
+                         for line in capsys.readouterr().out.splitlines()]
+        assert header == ["variant", "J", "D", "Acc", "Sn", "Sp"]
+        assert [row[0] for row in rows] == ["scratch", "transferred"]
+        for row in rows:
+            assert row[header.index("Sn")] == ""
+            assert all(cell == "" or 0.0 <= float(cell) <= 100.0
+                       for cell in row[1:])
 
     def test_missing_data_is_io_error(self, tmp_path):
         cfg = tiny_train_config(tmp_path)
@@ -524,6 +541,26 @@ class TestConfigKeys:
         assert run(verb, *argv[verb]) == 1
         assert f"{path}: key '{key}' given twice" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb,setting", [
+        ("complexity", "num_heads=0"), ("complexity", "num_heads=-4"),
+        ("complexity", "window_size=0"), ("complexity", "mlp_ratio=0"),
+        ("complexity", "mlp_ratio=0.01"), ("complexity", "mlp_ratio=nan"),
+        ("complexity", "mlp_ratio=inf"), ("complexity", "input_height=0"),
+        ("complexity", "input_width=-8"), ("synth", "image_size=0"),
+    ])
+    def test_degenerate_value_is_validation_error(self, tmp_path, capsys,
+                                                  verb, setting):
+        # one error line naming the key, before anything is printed
+        argv = [verb, "--set", setting]
+        if verb == "synth":
+            argv += ["--out", str(tmp_path / "d")]
+        assert run(*argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("hybridseg: error:")
+        assert setting.split("=")[0] in err
+
     def test_set_overrides_file_value(self, tmp_path, capsys):
         small = ["input_height=16", "input_width=16", "base_channels=2",
                  "num_heads=2", "window_size=2"]
@@ -642,6 +679,18 @@ class TestTtestVerb:
         a = tmp_path / "a.csv"
         a.write_text("1.0\n2.0\n")
         assert run("ttest", "--a", str(a), "--b", str(a)) == 1
+
+    def test_nan_score_is_validation_error(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        a.write_text("2.0\nnan\n6.0\n")
+        b.write_text("1.0\n2.0\n3.0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("ttest", "--a", str(a), "--b", str(b)) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("hybridseg: error:") and "finite" in err
 
 
 class TestArgumentHandling:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -188,6 +189,20 @@ class TestPairedTTest:
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
             M.paired_t_test([1.0, 2.0], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("a,b", [
+        ([1.0, math.nan, 3.0], [1.0, 2.0, 4.0]),
+        ([1.0, math.inf, 3.0], [1.0, 2.0, 4.0]),
+        ([1.0, 2.0, 3.0], [1.0, -math.inf, 4.0]),
+        ([math.inf, 2.0, 3.0], [math.inf, 1.0, 4.0]),
+        ([1e308, 2.0, 3.0], [-1e308, 1.0, 4.0]),  # the difference overflows
+    ])
+    def test_non_finite_scores(self, a, b):
+        # named as such, and without a NumPy warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="scores must be finite"):
+                M.paired_t_test(a, b)
 
     def test_significance_straddle(self):
         # scale a fixed difference pattern until the oracle p crosses 0.05
